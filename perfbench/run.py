@@ -42,7 +42,12 @@ import workloads
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 WORK_ROOT = ROOT / ".perfbench_work"
-SETUP_PROBES = 7
+# Set-up probes run before every timed pass, so that they sample the
+# machine over the whole run rather than over its first seconds.  setup_s
+# is their minimum: on a machine whose speed drifts with its neighbours'
+# load, the minimum of 12-21 probes varied half as much from run to run as
+# their median, and work added to set-up still raises it in full.
+SETUP_PROBES_PER_PASS = 3
 BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS")
 
 # Per-layer metric -> (span field, scale, unit).  The span is the metric
@@ -108,9 +113,7 @@ def run_pass(cli, jobs, workdir: str, tracer=None) -> tuple[float, list[JobRun]]
         tracer.install()
     start = time.perf_counter()
     try:
-        for i, argv in enumerate(argvs):
-            if tracer is not None:
-                tracer.job = i
+        for argv in argvs:
             runs.append(run_job(cli, argv))
     finally:
         wall = time.perf_counter() - start
@@ -141,10 +144,10 @@ def layer_metrics(summary: dict, cli_out_bytes: int) -> dict[str, tuple]:
     return metrics
 
 
-def measure_setup(workload: str, seed: int) -> list[float]:
-    """Set-up seconds of SETUP_PROBES fresh interpreters, one after another."""
+def measure_setup(workload: str, seed: int, count: int) -> list[float]:
+    """Set-up seconds of ``count`` fresh interpreters, one after another."""
     times = []
-    for i in range(SETUP_PROBES):
+    for i in range(count):
         workdir = WORK_ROOT / f"probe-{workload}-{os.getpid()}-{i}"
         try:
             done = subprocess.run(
@@ -214,7 +217,6 @@ def main() -> int:
     if problem:
         print(f"error: {problem}", file=sys.stderr)
         return 2
-    setup_times = [] if args.trace else measure_setup(args.workload, args.seed)
     jobs = workloads.generate(args.workload, args.seed)
     # Jobs run inside a private work directory with relative paths, so that
     # their outputs do not depend on where the checkout is.
@@ -223,7 +225,7 @@ def main() -> int:
     os.chdir(workdir)
     try:
         workloads.write_inputs(jobs, ".")
-        return run_benchmark(cli, jobs, ".", setup_times, args)
+        return run_benchmark(cli, jobs, ".", args)
     finally:
         os.chdir(ROOT)
         shutil.rmtree(workdir, ignore_errors=True)
@@ -231,13 +233,13 @@ def main() -> int:
             WORK_ROOT.rmdir()
 
 
-def run_benchmark(cli, jobs, workdir, setup_times, args) -> int:
+def run_benchmark(cli, jobs, workdir, args) -> int:
     import verify  # imports flipswitch, so only after load_cli
 
     print("env: " + json.dumps(environment(jobs), sort_keys=True))
     print(f"workload: {args.workload} seed={args.seed} jobs={len(jobs)} job_list_sha256={workloads.job_list_hash(jobs)}")
 
-    warmup = run_job(cli, list(workloads.WARMUP))
+    warmup = run_job(cli, workloads.warmup_job(jobs).materialize(workdir))
     correct = warmup.rc == 0 and warmup.error is None
     if not correct:
         print(f"FAILED warm-up job: rc={warmup.rc} {warmup.error or warmup.stderr.strip()}", file=sys.stderr)
@@ -246,6 +248,7 @@ def run_benchmark(cli, jobs, workdir, setup_times, args) -> int:
     modes = (None, tracer) if tracer else (None,)
     walls = {False: [], True: []}
     latencies: list[float] = []
+    setup_times: list[float] = []
     layer_passes: list[dict] = []
     attempted = failed = 0
     measured = 0.0
@@ -253,6 +256,8 @@ def run_benchmark(cli, jobs, workdir, setup_times, args) -> int:
     while True:
         for mode in modes:
             traced = mode is not None
+            if not args.trace:
+                setup_times += measure_setup(args.workload, args.seed, SETUP_PROBES_PER_PASS)
             wall, runs = run_pass(cli, jobs, workdir, mode)
             measured += wall
             walls[traced].append(wall)
@@ -282,7 +287,7 @@ def run_benchmark(cli, jobs, workdir, setup_times, args) -> int:
           + ("; traced " + " ".join(f"{w:.3f}" for w in walls[True]) if tracer else ""))
     if tracer is None:
         metrics = {
-            "setup_s": (statistics.median(setup_times), "s", len(setup_times)),
+            "setup_s": (min(setup_times), "s", len(setup_times)),
             "wall_s": (statistics.median(walls[False]), "s", len(walls[False])),
             "job_p50_ms": (1e3 * statistics.median(latencies), "ms", len(latencies)),
             "job_p90_ms": (1e3 * percentile(latencies, 90), "ms", len(latencies)),

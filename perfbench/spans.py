@@ -6,10 +6,10 @@ module that holds the name (``cli.pair_evolution`` as well as
 ``measures.pair_evolution``), so calls inside the package are traced too.
 ``uninstall`` puts the originals back.  Nothing in the package changes.
 
-A span is ``(id, parent_id, job, name, start, end, self_s, extra)``: self
-time is the duration minus the time covered by child spans.  ``extra``
-holds the work counts taken at the boundary (grid points and output bytes
-of ``conditional_kraus``, samples of ``pair_search``).
+A span is ``(name, seconds, self_s, extra)``: self time is the duration
+minus the time covered by child spans.  ``extra`` holds the work counts
+taken at the boundary (grid points and output bytes of
+``conditional_kraus``, samples of ``pair_search``).
 """
 
 from __future__ import annotations
@@ -44,9 +44,7 @@ def _package_modules():
 class Tracer:
     def __init__(self) -> None:
         self.spans: list[tuple] = []
-        self.job = -1
-        self._stack: list[list] = []  # [span_id, child_seconds] per open span
-        self._next_id = 0
+        self._stack: list[list] = []  # [child_seconds] per open span
         self._patched: list[tuple] = []  # (module, attribute, original)
 
     def _wrap(self, name: str, fn):
@@ -58,10 +56,7 @@ class Tracer:
 
         @functools.wraps(fn)
         def traced(*args, **kwargs):
-            span_id = self._next_id
-            self._next_id += 1
-            parent = stack[-1][0] if stack else -1
-            frame = [span_id, 0.0]
+            frame = [0.0]
             stack.append(frame)
             result = None
             start = clock()
@@ -72,11 +67,11 @@ class Tracer:
                 end = clock()
                 stack.pop()
                 if stack:
-                    stack[-1][1] += end - start
+                    stack[-1][0] += end - start
                 extra = None
                 if extra_fn is not None and result is not None:
                     extra = extra_fn(signature.bind(*args, **kwargs).arguments, result)
-                spans.append((span_id, parent, self.job, name, start, end, end - start - frame[1], extra))
+                spans.append((name, end - start, end - start - frame[0], extra))
 
         return traced
 
@@ -108,10 +103,10 @@ class Tracer:
 def summarize(spans: list[tuple]) -> dict:
     """Per-name calls, inclusive seconds, self seconds and summed extras."""
     out: dict = defaultdict(lambda: {"calls": 0, "seconds": 0.0, "self_s": 0.0})
-    for _, _, _, name, start, end, self_s, extra in spans:
+    for name, seconds, self_s, extra in spans:
         entry = out[name]
         entry["calls"] += 1
-        entry["seconds"] += end - start
+        entry["seconds"] += seconds
         entry["self_s"] += self_s
         for key, value in (extra or {}).items():
             entry[key] = entry.get(key, 0) + value

@@ -4,7 +4,8 @@ Sampled grid times of every curve and signal are recomputed one time point
 at a time through the reference path (``kraus_from_params``, the
 ``supermaps`` constructions, ``apply_postselect``, ``trace_distance``,
 ``concurrence``) and must agree within ``TOL``.  Reported measure values
-are recomputed from the emitted signal.  Comparisons use tolerances, not
+are recomputed from the emitted signal, and no seeded draw of a pair
+search may beat its reported best pair.  Comparisons use tolerances, not
 byte hashes, so last-digit changes of a faster engine are not failures.
 
 Each ``verify_*`` function returns a list of problems; empty means correct.
@@ -161,6 +162,55 @@ def _pair(expect: dict, report: dict):
     return measures.antipodal_pair(bloch / np.linalg.norm(bloch))
 
 
+def search_draws(seed: int, samples: int) -> np.ndarray:
+    """Bloch directions a pair search with this seed samples, in order."""
+    rng = np.random.default_rng(seed)
+    zs = rng.uniform(-1.0, 1.0, size=samples)
+    phis = rng.uniform(0.0, 2.0 * np.pi, size=samples)
+    r = np.sqrt(1.0 - zs * zs)
+    return np.stack([r * np.cos(phis), r * np.sin(phis), zs], axis=1)
+
+
+def search_values(expect) -> np.ndarray:
+    """Backflow value of every seeded draw, each pair ``(I ± v.σ)/2``.
+
+    The unnormalized output is affine in the Bloch vector, so the images of
+    I, X, Y, Z under the conditional operator sum give every draw's output
+    at once, and the trace distance of two normalized qubit states is the
+    norm of the traceless part of their difference.  This is independent of
+    the program's per-sample evolution.
+    """
+    grid = measures.TimeGrid(expect["t_max"], expect["steps"])
+    stack, _ = measures.conditional_kraus(_family(expect), expect["supermap"], grid.points, control_spec(expect["control"]))
+    # One image at a time, and few draws at a time, keep the working set
+    # below that of the job itself, so that ru_maxrss stays the job's.
+    tr, a, b = np.empty((4, len(stack))), np.empty((4, len(stack))), np.empty((4, len(stack)), dtype=complex)
+    for m, sigma in enumerate((matcore.ID2, matcore.PAULI_X, matcore.PAULI_Y, matcore.PAULI_Z)):
+        image = np.einsum("tnij,jk,tnlk->til", stack, sigma, stack.conj(), optimize=True)
+        tr[m], a[m], b[m] = image[:, 0, 0].real + image[:, 1, 1].real, image[:, 0, 0].real, image[:, 0, 1]
+    del stack, image
+    values = []
+    for v in np.array_split(search_draws(expect["pair_seed"], SEARCH_SAMPLES), SEARCH_SAMPLES // 4):
+        tr_p, tr_m = tr[0] + v @ tr[1:], tr[0] - v @ tr[1:]
+        d00 = (a[0] + v @ a[1:]) / tr_p - (a[0] - v @ a[1:]) / tr_m
+        d01 = (b[0] + v @ b[1:]) / tr_p - (b[0] - v @ b[1:]) / tr_m
+        rises = np.diff(np.sqrt(d00 * d00 + np.abs(d01) ** 2), axis=1)
+        values.append(np.where(rises > DEAD_BAND, rises, 0.0).sum(axis=1))
+    return np.concatenate(values)
+
+
+def verify_search(expect, report, problems) -> None:
+    """The best pair must be a seeded draw whose value no other draw beats."""
+    draws = search_draws(expect["pair_seed"], SEARCH_SAMPLES)
+    values = search_values(expect)
+    best = np.asarray(report["best_pair_bloch"], dtype=float)
+    picked = np.flatnonzero(np.abs(draws - best).max(axis=1) <= TOL)
+    if len(picked) == 0:
+        problems.append(f"best_pair_bloch {report['best_pair_bloch']} is none of the seeded draws")
+    elif not (_close(values[picked[0]], values.max()) and _close(report["value"], values.max())):
+        problems.append(f"reported best {report['value']!r} (draw {picked[0]}), but draw {values.argmax()} reaches {float(values.max())!r}")
+
+
 def verify_measure(expect, stdout, rng, problems) -> None:
     try:
         report = json.loads(stdout)
@@ -170,8 +220,8 @@ def verify_measure(expect, stdout, rng, problems) -> None:
     for key in ("supermap", "measure", "steps", "t_max"):
         if report.get(key) != expect[key]:
             problems.append(f"report {key} = {report.get(key)!r}, expected {expect[key]!r}")
-    if expect["pair"] == "search" and report.get("samples") != SEARCH_SAMPLES:
-        problems.append(f"report samples = {report.get('samples')!r}")
+    if expect["pair"] == "search" and (report.get("samples"), report.get("seed")) != (SEARCH_SAMPLES, expect["pair_seed"]):
+        problems.append(f"report samples, seed = {report.get('samples')!r}, {report.get('seed')!r}")
     if problems:
         return
     data = load_csv(expect["out"], ["t", "signal"], expect["t_max"], expect["steps"], problems)
@@ -182,6 +232,8 @@ def verify_measure(expect, stdout, rng, problems) -> None:
     _, reference = _trajectory(expect["measure"], _family(expect), expect["supermap"], pair, control_spec(expect["control"]))
     signal = 0 if expect["measure"] == "nd" else 1  # trace distance, or EoF
     check_rows(data, _sample_rows(rng, len(data)), lambda t: reference(t)[signal:signal + 1], (1,), "signal", problems)
+    if expect["pair"] == "search" and not problems:
+        verify_search(expect, report, problems)
 
 
 def verify_evolve(expect, stdout, rng, problems) -> None:

@@ -62,14 +62,6 @@ SEARCH_GRID = (20.0, 4000)  # the CLI default grid; search jobs give none
 SWEEP_STEPS = 6000
 SWEEP_T_MAX = 20.0
 
-# Untimed first job of every run: it pays the lazy imports, the numpy
-# dispatch set-up and the growth of the heap to the largest arrays of any
-# workload (a switch Kraus stack of a sweep grid) before anything is timed.
-WARMUP = (
-    "measure", "--family", "gad", "--param", "1", "--supermap", "switch",
-    "--measure", "ne", "--steps", str(SWEEP_STEPS),
-)
-
 # (command, measure, supermap) -> number of jobs.  100 jobs in all: 75
 # measure (6 of them expected refusals), 12 evolve, 13 check.
 SWEEP_CELLS = (
@@ -184,15 +176,16 @@ def _search_jobs(seed: int) -> list[Job]:
     )):
         name = f"search{i}"
         out = f"{PLACEHOLDER}/out/{name}.csv"
+        pair_seed = rng.randrange(2**31)
         config = {
             "family": family, "param": param, "supermap": supermap, "measure": "nd",
             "control": {"initial": ctrl, "postselect": "plus"},
-            "pair": {"samples": SEARCH_SAMPLES, "seed": rng.randrange(2**31)},
+            "pair": {"samples": SEARCH_SAMPLES, "seed": pair_seed},
             "output": out,
         }
         scenario = {
             "family": family, "param": param, "supermap": supermap, "measure": "nd",
-            "pair": "search", "control": ctrl,
+            "pair": "search", "pair_seed": pair_seed, "control": ctrl,
             "t_max": SEARCH_GRID[0], "steps": SEARCH_GRID[1], "out": out, "exit": 0,
         }
         jobs.append(_scenario_job(name, "measure", scenario, config, []))
@@ -261,6 +254,16 @@ def _sweep_jobs(seed: int) -> list[Job]:
         jobs.append(_refusal_job(rng, f"j{len(jobs):03d}", code))
     rng.shuffle(jobs)
     return jobs
+
+
+def warmup_job(jobs: list[Job]) -> Job:
+    """The untimed first job of a run: the workload's first job that succeeds.
+
+    It pays the lazy imports and the numpy dispatch set-up before anything
+    is timed, and grows the heap no further than the workload itself does,
+    so that ``ru_maxrss`` stays the workload's own peak.
+    """
+    return next(job for job in jobs if job.expect.get("exit", 0) == 0)
 
 
 def generate(workload: str, seed: int) -> list[Job]:
