@@ -61,7 +61,7 @@ class KrausSet:
 
 @dataclass(frozen=True)
 class DecoherenceRates:
-    """Gain, dissipation and dephasing rates of the generating master equation."""
+    """Gain, dissipation and dephasing rates (floats, or arrays over a time grid)."""
 
     gamma_plus: float
     gamma_minus: float
@@ -134,8 +134,6 @@ def family_from_id(kind: str, param: float) -> ChannelFamily:
     """Resolve a CLI family identifier; custom families are programmatic only."""
     if kind == "custom":
         raise ConfigurationError("custom families are constructed with custom_family()")
-    if kind not in FAMILY_IDS:
-        raise ConfigurationError(f"unknown channel family {kind!r}")
     return ChannelFamily(kind, float(param))
 
 
@@ -160,13 +158,14 @@ def family_triples(family: ChannelFamily, t):
         x = np.exp(-ts)
         inner = (1.0 + x) ** 2 - mu * mu * (1.0 - x) ** 2
         return 0.5 * np.sqrt(np.maximum(inner, 0.0)), x, mu * (1.0 - x)
-    lam_f, lam_z_f, lam_star_f = family.triple
-    shape = ts.shape
-    return (
-        np.broadcast_to(np.asarray(lam_f(ts), dtype=float), shape).copy(),
-        np.broadcast_to(np.asarray(lam_z_f(ts), dtype=float), shape).copy(),
-        np.broadcast_to(np.asarray(lam_star_f(ts), dtype=float), shape).copy(),
+    triple = tuple(
+        np.broadcast_to(np.asarray(f(ts), dtype=float), ts.shape).copy() for f in family.triple
     )
+    finite = np.isfinite(triple).all(axis=0)
+    if not np.all(finite):
+        t_bad = float(ts.flat[np.argmin(finite)])
+        raise ConfigurationError(f"custom family is not finite at t = {t_bad:.9g}")
+    return triple
 
 
 def params_at(family: ChannelFamily, t: float) -> PhaseCovParams:
@@ -175,14 +174,23 @@ def params_at(family: ChannelFamily, t: float) -> PhaseCovParams:
     return PhaseCovParams(float(lam), float(lam_z), float(lam_star))
 
 
+def cptp_inequalities(lam, lam_z, lam_star, slack: float = CPTP_SLACK):
+    """Elementwise truth of |lam_z| + |lam_star| <= 1 and 4 lam^2 + lam_star^2 <=
+    (1 + lam_z)^2, each up to ``slack``, plus their sides (lhs1, lhs2, rhs2).
+    Written as ``<=`` so that NaN fails them.
+    """
+    lhs1 = np.abs(lam_z) + np.abs(lam_star)
+    lhs2 = 4.0 * np.square(lam) + np.square(lam_star)
+    rhs2 = np.square(1.0 + lam_z)
+    return lhs1 <= 1.0 + slack, lhs2 <= rhs2 + slack, (lhs1, lhs2, rhs2)
+
+
 def cptp_check(p: PhaseCovParams, slack: float = CPTP_SLACK) -> CptpVerdict:
     """Check the two complete-positivity inequalities of the triple."""
-    lhs1 = abs(p.lam_z) + abs(p.lam_star)
-    if lhs1 > 1.0 + slack:
+    first, second, (lhs1, lhs2, rhs2) = cptp_inequalities(p.lam, p.lam_z, p.lam_star, slack)
+    if not first:
         return CptpVerdict(False, f"|lam_z| + |lam_star| = {lhs1:.12g} > 1")
-    lhs2 = 4.0 * p.lam**2 + p.lam_star**2
-    rhs2 = (1.0 + p.lam_z) ** 2
-    if lhs2 > rhs2 + slack:
+    if not second:
         return CptpVerdict(
             False, f"4 lam^2 + lam_star^2 = {lhs2:.12g} > (1 + lam_z)^2 = {rhs2:.12g}"
         )
@@ -311,55 +319,58 @@ def invariant_state(p: PhaseCovParams) -> np.ndarray:
     return density_from_bloch((0.0, 0.0, p.lam_star / (1.0 - p.lam_z)))
 
 
-def _fd_derivative(fn: Callable, t: float, h: float = 1e-6) -> float:
-    if t >= h:
-        return (float(fn(t + h)) - float(fn(t - h))) / (2.0 * h)
-    # one-sided second-order stencil near the left boundary
-    return (-3.0 * float(fn(t)) + 4.0 * float(fn(t + h)) - float(fn(t + 2.0 * h))) / (2.0 * h)
-
-
-def lindblad_rates(family: ChannelFamily, t: float) -> DecoherenceRates:
-    """Decoherence rates of the time-local generator at time t.
+def lindblad_rates(family: ChannelFamily, t) -> DecoherenceRates:
+    """Decoherence rates of the time-local generator at scalar or array times t.
 
     Named families use their closed forms; custom families fall back to
-    central finite differences (step 1e-6, one-sided at the left edge).
+    central finite differences (step 1e-6, one-sided where t < 1e-6).
+    Scalar t gives float rates, array t arrays of its shape.
     """
-    t = float(t)
-    if t < 0:
+    ts = np.asarray(t, dtype=float)
+    if np.any(ts < 0):
         raise ConfigurationError("time must be non-negative")
+    # exp/cosh arguments are capped where the rate already equals its limit
+    # to double precision (z > 700, t > 350), so nothing overflows
     if family.kind == "dcp":
-        return DecoherenceRates(0.5, 0.5, (2.0 * family.param - 1.0) / 4.0)
-    if family.kind == "eternal":
+        rates = (0.5, 0.5, (2.0 * family.param - 1.0) / 4.0)
+    elif family.kind == "eternal":
         nu = family.param
-        z = nu * t
-        pole = 0.0 if z > 700.0 else 2.0 * nu / (math.exp(z) + 1.0)
-        return DecoherenceRates(0.5, 0.5, 0.25 * (pole - 1.0))
-    if family.kind == "gad":
+        pole = 2.0 * nu / (np.exp(np.minimum(nu * ts, 700.0)) + 1.0)
+        rates = (0.5, 0.5, 0.25 * (pole - 1.0))
+    elif family.kind == "gad":
         a = family.param
-        osc = (2.0 * math.sin(a * t) + a * math.cos(a * t)) / math.sqrt(4.0 + a * a)
-        return DecoherenceRates(1.0 + osc, 1.0 - osc, 0.0)
-    if family.kind == "nonunital-eternal":
-        mu = family.param
-        if abs(mu) == 1.0:
-            gz = 0.0
-        elif t > 350.0:
-            gz = -0.25
-        else:
-            gz = (mu * mu - 1.0) * math.sinh(t) / (
-                4.0 * (1.0 + mu * mu + (1.0 - mu * mu) * math.cosh(t))
-            )
-        return DecoherenceRates(0.5 * (1.0 + mu), 0.5 * (1.0 - mu), gz)
+        osc = (2.0 * np.sin(a * ts) + a * np.cos(a * ts)) / math.sqrt(4.0 + a * a)
+        rates = (1.0 + osc, 1.0 - osc, 0.0)
+    elif family.kind == "nonunital-eternal":
+        mu, tc = family.param, np.minimum(ts, 350.0)
+        gz = (mu * mu - 1.0) * np.sinh(tc) / (4.0 * (1.0 + mu * mu + (1.0 - mu * mu) * np.cosh(tc)))
+        rates = (0.5 * (1.0 + mu), 0.5 * (1.0 - mu), gz)
+    else:
+        rates = _custom_rates(family, ts)
+    rates = [np.broadcast_to(np.asarray(r, dtype=float), ts.shape) for r in rates]
+    if ts.ndim == 0:
+        return DecoherenceRates(*(float(r) for r in rates))
+    return DecoherenceRates(*rates)
 
-    lam_f, lam_z_f, lam_star_f = family.triple
-    lam, lam_z, lam_star = (float(f(t)) for f in family.triple)
+
+def _custom_rates(family: ChannelFamily, ts: np.ndarray, h: float = 1e-6):
+    f0 = np.array(family_triples(family, ts))
+    lam, lam_z, lam_star = f0
     # dividing by a small exponential is fine; only genuine zeros are singular
-    if abs(lam) < 1e-250 or abs(lam_z) < 1e-250:
-        raise SingularityError(f"rates are singular where lam or lam_z vanishes (t = {t:g})")
-    dlam = _fd_derivative(lam_f, t)
-    dlam_z = _fd_derivative(lam_z_f, t)
-    dlam_star = _fd_derivative(lam_star_f, t)
+    singular = (np.abs(lam) < 1e-250) | (np.abs(lam_z) < 1e-250)
+    if np.any(singular):
+        t_bad = float(ts.flat[np.argmax(singular)])
+        raise SingularityError(f"rates are singular where lam or lam_z vanishes (t = {t_bad:g})")
+    central = ts >= h
+    f1, fm, f2 = (
+        np.array(family_triples(family, s)) for s in (ts + h, np.where(central, ts - h, ts), ts + 2.0 * h)
+    )
+    # one-sided second-order stencil near the left boundary
+    dlam, dlam_z, dlam_star = np.where(
+        central, (f1 - fm) / (2.0 * h), (-3.0 * f0 + 4.0 * f1 - f2) / (2.0 * h)
+    )
     ratio_z = dlam_z / lam_z
     g_plus = 0.5 * (dlam_star - ratio_z * (lam_star + 1.0))
     g_minus = -0.5 * (dlam_star + ratio_z * (1.0 - lam_star))
     g_z = 0.25 * (ratio_z - 2.0 * dlam / lam)
-    return DecoherenceRates(g_plus, g_minus, g_z)
+    return g_plus, g_minus, g_z

@@ -9,8 +9,9 @@ Subcommands:
     oracles     regression of simulated trajectories against closed forms
 
 Exit codes: 0 success, 2 configuration error, 3 CPTP violation at some grid
-point, 4 degenerate post-selection.  A single JSON config document may be
-given with --config; explicit flags override config keys.
+point, 4 degenerate post-selection, 5 an oracle case outside its tolerance.
+A single JSON config document may be given with --config; explicit flags
+override config keys.
 """
 
 from __future__ import annotations
@@ -25,25 +26,24 @@ from typing import Sequence
 import numpy as np
 
 from .channels import (
+    FAMILY_IDS,
     ChannelFamily,
     bloch_from_density,
-    cptp_check,
+    cptp_inequalities,
     custom_family,
     family_from_id,
     family_triples,
     lindblad_rates,
-    params_at,
 )
 from .errors import (
-    BidirectionalityError,
     ConfigurationError,
     CptpViolationError,
     PostSelectionError,
     SimulationError,
-    SingularityError,
 )
 from .measures import (
-    INCREMENT_DEAD_BAND,
+    PAIR_NAMES,
+    SUPERMAP_MODES,
     TimeGrid,
     distance_trajectory,
     entanglement_signals,
@@ -52,6 +52,7 @@ from .measures import (
     ne_for_scenario,
     pair_evolution,
     pair_search,
+    revival_runs,
     td_witness,
 )
 from .supermaps import ControlSpec, control_from_names
@@ -60,6 +61,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_CPTP = 3
 EXIT_POSTSELECT = 4
+EXIT_ORACLE = 5
+
+MEASURES = ("nd", "ne")
 
 DEFAULT_T_MAX = 20.0
 DEFAULT_STEPS = 4000
@@ -74,6 +78,7 @@ _EXPR_NAMES = {
     )
 }
 _EXPR_NAMES["pi"] = np.pi
+_EXPR_ALLOWED = frozenset(_EXPR_NAMES) | {"t"}
 
 
 @dataclass
@@ -159,7 +164,18 @@ def _scenario_from(args: argparse.Namespace) -> ScenarioConfig:
             cfg.param = float(cfg.param)
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"non-numeric scenario value: {exc}") from exc
+    if cfg.measure not in MEASURES:
+        raise ConfigurationError(f"measure must be one of {', '.join(MEASURES)}, got {cfg.measure!r}")
     return cfg
+
+
+def _code_names(code) -> set[str]:
+    """Names and attributes a compiled expression uses, nested code included."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if isinstance(const, type(code)):
+            names |= _code_names(const)
+    return names
 
 
 def _expr_function(expr: str):
@@ -169,11 +185,18 @@ def _expr_function(expr: str):
         code = compile(expr, "<custom-family>", "eval")
     except SyntaxError as exc:
         raise ConfigurationError(f"bad custom expression {expr!r}: {exc}") from exc
+    unknown = _code_names(code) - _EXPR_ALLOWED
+    if unknown:
+        raise ConfigurationError(
+            f"custom expression {expr!r} uses names outside t, pi and the listed functions: "
+            + ", ".join(sorted(unknown))
+        )
 
     def fn(t):
-        env = dict(_EXPR_NAMES)
-        env["t"] = t
-        return eval(code, {"__builtins__": {}}, env)
+        try:
+            return np.asarray(eval(code, {"__builtins__": {}, **_EXPR_NAMES, "t": t}), dtype=float)
+        except (ArithmeticError, TypeError, ValueError) as exc:
+            raise ConfigurationError(f"custom expression {expr!r} failed: {exc}") from exc
 
     return fn
 
@@ -242,25 +265,15 @@ def run_check(cfg: ScenarioConfig) -> int:
     family = _resolve_family(cfg)
     ts = _grid(cfg).points
     lam, lam_z, lam_star = family_triples(family, ts)
-    valid = np.empty(len(ts))
-    witness = np.empty(len(ts))
-    gp = np.empty(len(ts))
-    gm = np.empty(len(ts))
-    gz = np.empty(len(ts))
-    any_invalid = False
-    for k, t in enumerate(ts):
-        verdict = cptp_check(params_at(family, float(t)))
-        valid[k] = 1.0 if verdict else 0.0
-        any_invalid = any_invalid or not verdict
-        rates = lindblad_rates(family, float(t))
-        gp[k], gm[k], gz[k] = rates.gamma_plus, rates.gamma_minus, rates.gamma_z
-        witness[k] = 1.0 if td_witness(rates) else 0.0
+    first, second, _ = cptp_inequalities(lam, lam_z, lam_star)
+    valid = first & second
+    rates = lindblad_rates(family, ts)
     _write_csv(
         cfg.out,
         ["t", "lam", "lam_z", "lam_star", "cptp_valid", "gamma_plus", "gamma_minus", "gamma_z", "td_witness"],
-        [ts, lam, lam_z, lam_star, valid, gp, gm, gz, witness],
+        [ts, lam, lam_z, lam_star, valid, rates.gamma_plus, rates.gamma_minus, rates.gamma_z, td_witness(rates)],
     )
-    if any_invalid:
+    if not np.all(valid):
         print(f"CPTP violation detected for {family.label}", file=sys.stderr)
         return EXIT_CPTP
     return EXIT_OK
@@ -271,38 +284,33 @@ def run_check(cfg: ScenarioConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _scenario_pair(cfg: ScenarioConfig):
-    if cfg.pair == "search":
-        return None
-    return named_pair(cfg.pair)
+def _write_trajectory(out, family, supermap, measure, pair, grid, ctrl) -> None:
+    """CSV of the concurrence/eof (ne) or pair trace distance (nd) signal."""
+    if measure == "ne":
+        conc, eof, probs = entanglement_signals(family, supermap, grid, ctrl)
+        header, columns = ["t", "concurrence", "eof"], [grid.points, conc, eof]
+        if probs is not None:
+            header.append("success_prob")
+            columns.append(probs)
+    else:
+        ev = pair_evolution(family, supermap, pair, grid, ctrl)
+        header, columns = ["t", "trace_distance"], [grid.points, ev.distance]
+        if ev.probs_1 is not None:
+            header += ["success_prob_1", "success_prob_2"]
+            columns += [ev.probs_1, ev.probs_2]
+    _write_csv(out, header, columns)
 
 
 def run_evolve(cfg: ScenarioConfig) -> int:
     family = _resolve_family(cfg)
     grid = _grid(cfg)
     ctrl = _resolve_control(cfg)
-    ts = grid.points
-    if cfg.measure == "ne":
-        conc, eof, probs = entanglement_signals(family, cfg.supermap, grid, ctrl)
-        header = ["t", "concurrence", "eof"]
-        columns = [ts, conc, eof]
-        if probs is not None:
-            header.append("success_prob")
-            columns.append(probs)
-        _write_csv(cfg.out, header, columns)
-        return EXIT_OK
-    pair = _scenario_pair(cfg)
-    if pair is None:
+    pair = None
+    if cfg.measure == "nd" and cfg.pair == "search":
         pair, _ = pair_search(family, cfg.supermap, grid, cfg.samples, cfg.seed, ctrl)
-    ev = pair_evolution(family, cfg.supermap, pair, grid, ctrl)
-    w = np.linalg.eigvalsh(ev.states_1 - ev.states_2)
-    distance = 0.5 * np.abs(w).sum(axis=1)
-    header = ["t", "trace_distance"]
-    columns = [ts, distance]
-    if ev.probs_1 is not None:
-        header += ["success_prob_1", "success_prob_2"]
-        columns += [ev.probs_1, ev.probs_2]
-    _write_csv(cfg.out, header, columns)
+    elif cfg.measure == "nd":
+        pair = named_pair(cfg.pair)
+    _write_trajectory(cfg.out, family, cfg.supermap, cfg.measure, pair, grid, ctrl)
     return EXIT_OK
 
 
@@ -329,10 +337,8 @@ def run_measure(cfg: ScenarioConfig) -> int:
             pair = named_pair(cfg.pair)
             result = nd_for_scenario(family, cfg.supermap, pair, grid, ctrl)
             report["pair"] = cfg.pair
-    elif cfg.measure == "ne":
-        result = ne_for_scenario(family, cfg.supermap, grid, ctrl)
     else:
-        raise ConfigurationError("the measure command needs measure nd or ne")
+        result = ne_for_scenario(family, cfg.supermap, grid, ctrl)
     report["value"] = result.measure_value
     report["revival_intervals"] = [list(iv) for iv in result.revival_intervals]
     print(json.dumps(report, sort_keys=True))
@@ -393,18 +399,9 @@ INSET_SWEEP_POINTS = 50
 
 def _mean_rise(diffs: np.ndarray) -> float:
     """Average gain of the complete revival runs inside a window of increments."""
-    positive = diffs > INCREMENT_DEAD_BAND
-    runs = []
-    start = None
-    for k, flag in enumerate(positive):
-        if flag and start is None:
-            start = k
-        elif not flag and start is not None:
-            runs.append((start, k, float(diffs[start:k].sum())))
-            start = None
-    if start is not None:
-        runs.append((start, len(positive), float(diffs[start:].sum())))
-    inside = [s for a, b, s in runs if a > 0 and b < len(positive)]
+    inside = [
+        float(diffs[a:b].sum()) for a, b in zip(*revival_runs(diffs)) if a > 0 and b < len(diffs)
+    ]
     if not inside:
         return 0.0
     # sub-grid fragments split off at flat extrema are not separate revivals
@@ -435,22 +432,8 @@ def run_reproduce(figure: str, out_dir: str, args) -> int:
     for value in spec["values"]:
         family = family_from_id(spec["family"], value)
         path = out / f"{figure}_{spec['symbol']}={value:g}.csv"
-        if spec["measure"] == "nd":
-            ev = pair_evolution(family, spec["supermap"], named_pair(spec["pair"]), curve_grid, ctrl)
-            w = np.linalg.eigvalsh(ev.states_1 - ev.states_2)
-            distance = 0.5 * np.abs(w).sum(axis=1)
-            _write_csv(
-                str(path),
-                ["t", "trace_distance", "success_prob_1", "success_prob_2"],
-                [curve_grid.points, distance, ev.probs_1, ev.probs_2],
-            )
-        else:
-            conc, eof, probs = entanglement_signals(family, spec["supermap"], curve_grid, ctrl)
-            _write_csv(
-                str(path),
-                ["t", "concurrence", "eof", "success_prob"],
-                [curve_grid.points, conc, eof, probs],
-            )
+        pair = named_pair(spec["pair"]) if spec["measure"] == "nd" else None
+        _write_trajectory(str(path), family, spec["supermap"], spec["measure"], pair, curve_grid, ctrl)
         written.append(path)
 
     if spec.get("inset") is not None:
@@ -479,14 +462,12 @@ def run_reproduce(figure: str, out_dir: str, args) -> int:
         alphas, totals, gains = [], [], []
         for value in spec["values"]:
             family = family_from_id(spec["family"], value)
-            traj = distance_trajectory(
+            result = nd_for_scenario(
                 family, spec["supermap"], named_pair(spec["pair"]), grid, ctrl
             )
-            diffs = np.diff(traj.values)
-            total = float(diffs[diffs > INCREMENT_DEAD_BAND].sum())
             alphas.append(value)
-            totals.append(total)
-            gains.append(_mean_rise(diffs[grid.steps // 2:]))
+            totals.append(result.measure_value)
+            gains.append(_mean_rise(np.diff(result.signal.values)[grid.steps // 2:]))
         path = out / f"{figure}_growth_summary.csv"
         _write_csv(
             str(path),
@@ -570,8 +551,8 @@ def run_oracles(cfg: ScenarioConfig) -> int:
         failures += 0 if ok else 1
     if failures:
         print(f"oracle regression: {failures}/{len(rows)} cases FAIL (tol {ORACLE_TOL:g})")
-    else:
-        print(f"oracle regression: all {len(rows)} cases PASS (tol {ORACLE_TOL:g})")
+        return EXIT_ORACLE
+    print(f"oracle regression: all {len(rows)} cases PASS (tol {ORACLE_TOL:g})")
     return EXIT_OK
 
 
@@ -582,13 +563,13 @@ def run_oracles(cfg: ScenarioConfig) -> int:
 
 def _add_scenario_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON config document")
-    sub.add_argument("--family", choices=("dcp", "eternal", "gad", "nonunital-eternal", "custom"))
+    sub.add_argument("--family", choices=FAMILY_IDS)
     sub.add_argument("--param", type=float, help="family parameter")
-    sub.add_argument("--supermap", choices=("none", "flip", "switch"))
+    sub.add_argument("--supermap", choices=SUPERMAP_MODES)
     sub.add_argument("--tmax", type=float, help="grid end time")
     sub.add_argument("--steps", type=int, help="grid step count")
-    sub.add_argument("--measure", choices=("nd", "ne", "none"))
-    sub.add_argument("--pair", choices=("plus-minus", "zero-one", "search"))
+    sub.add_argument("--measure", choices=MEASURES)
+    sub.add_argument("--pair", choices=PAIR_NAMES + ("search",))
     sub.add_argument("--seed", type=int, help="seed for pair search")
     sub.add_argument("--out", help="output path")
 
@@ -638,9 +619,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "oracles":
             return run_oracles(ScenarioConfig())
         raise ConfigurationError(f"unknown command {args.command!r}")
-    except (ConfigurationError, BidirectionalityError, SingularityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except CptpViolationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CPTP

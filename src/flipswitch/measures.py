@@ -21,6 +21,7 @@ from .channels import (
     ChannelFamily,
     DecoherenceRates,
     cptp_check,
+    cptp_inequalities,
     density_from_bloch,
     family_triples,
     kraus_stack,
@@ -33,10 +34,9 @@ from .errors import (
     NumericContractError,
     PostSelectionError,
 )
-from .supermaps import ControlSpec
+from .supermaps import SUCCESS_PROB_FLOOR, ControlSpec
 
 INCREMENT_DEAD_BAND = 1e-12
-SUCCESS_PROB_FLOOR = 1e-12
 
 SUPERMAP_MODES = ("none", "flip", "switch")
 
@@ -158,6 +158,16 @@ def entanglement_of_formation(c: float) -> float:
     return float(-x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x))
 
 
+def revival_runs(increments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Maximal runs of increments above the dead band, as index arrays.
+
+    Run ``i`` covers ``increments[starts[i]:ends[i]]``.
+    """
+    rising = np.concatenate(([False], increments > INCREMENT_DEAD_BAND, [False]))
+    edges = np.diff(rising.astype(np.int8))
+    return np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+
+
 def backflow_accumulate(signal: Trajectory) -> MemoryResult:
     """Sum of the positive increments of a sampled signal.
 
@@ -166,24 +176,14 @@ def backflow_accumulate(signal: Trajectory) -> MemoryResult:
     """
     ts = signal.grid.points
     increments = np.diff(signal.values)
-    positive = increments > INCREMENT_DEAD_BAND
-    total = float(increments[positive].sum())
-    intervals = []
-    start = None
-    for k, flag in enumerate(positive):
-        if flag and start is None:
-            start = k
-        elif not flag and start is not None:
-            intervals.append((float(ts[start]), float(ts[k])))
-            start = None
-    if start is not None:
-        intervals.append((float(ts[start]), float(ts[-1])))
-    return MemoryResult(total, tuple(intervals), signal)
+    total = float(increments[increments > INCREMENT_DEAD_BAND].sum())
+    intervals = tuple((float(ts[a]), float(ts[b])) for a, b in zip(*revival_runs(increments)))
+    return MemoryResult(total, intervals, signal)
 
 
-def td_witness(r: DecoherenceRates) -> bool:
-    """True when the rate signs allow a trace-distance revival."""
-    return (r.gamma_plus + r.gamma_minus + 4.0 * r.gamma_z < 0.0) or (
+def td_witness(r: DecoherenceRates):
+    """True where the rate signs allow a trace-distance revival (elementwise on arrays)."""
+    return (r.gamma_plus + r.gamma_minus + 4.0 * r.gamma_z < 0.0) | (
         r.gamma_plus + r.gamma_minus < 0.0
     )
 
@@ -197,9 +197,8 @@ def td_witness(r: DecoherenceRates) -> bool:
 
 def _checked_triples(family: ChannelFamily, ts: np.ndarray):
     lam, lam_z, lam_star = family_triples(family, ts)
-    ok1 = np.abs(lam_z) + np.abs(lam_star) <= 1.0 + 1e-12
-    ok2 = 4.0 * lam**2 + lam_star**2 <= (1.0 + lam_z) ** 2 + 1e-12
-    bad = ~(ok1 & ok2)
+    first, second, _ = cptp_inequalities(lam, lam_z, lam_star)
+    bad = ~(first & second)
     if np.any(bad):
         t_bad = float(ts[np.argmax(bad)])
         reason = cptp_check(params_at(family, t_bad)).reason
@@ -319,6 +318,11 @@ class PairEvolution:
     probs_1: np.ndarray | None
     probs_2: np.ndarray | None
 
+    @property
+    def distance(self) -> np.ndarray:
+        """Trace distance of the two members at every grid time."""
+        return _distance_series(self.states_1, self.states_2)
+
 
 def pair_evolution(
     family: ChannelFamily,
@@ -344,7 +348,7 @@ def distance_trajectory(
 ) -> Trajectory:
     """Trace distance of the evolved pair along the grid."""
     ev = pair_evolution(family, supermap, pair, grid, ctrl)
-    return Trajectory(grid, _distance_series(ev.states_1, ev.states_2), ev.probs_1)
+    return Trajectory(grid, ev.distance, ev.probs_1)
 
 
 def bell_evolution(

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from flipswitch import channels as ch
 from flipswitch import matcore
@@ -81,6 +83,62 @@ def test_cptp_check_detects_first_inequality():
     verdict = ch.cptp_check(ch.PhaseCovParams(0.5, 0.5, 0.6))
     assert not verdict
     assert "> 1" in verdict.reason
+
+
+_PAULIS = (
+    np.eye(2),
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]]),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
+
+
+def _choi_min_eigenvalue(lam, lam_z, lam_star):
+    """Smallest eigenvalue of sum_ij |i><j| (x) E(|i><j|), with E defined by
+    the affine Bloch action E(I) = I + lam_star Z, E(X) = lam X, E(Y) = lam Y,
+    E(Z) = lam_z Z."""
+    identity, x, y, z = _PAULIS
+
+    def channel(m):
+        c0, cx, cy, cz = (np.trace(pauli @ m) / 2.0 for pauli in _PAULIS)
+        return c0 * (identity + lam_star * z) + lam * (cx * x + cy * y) + lam_z * cz * z
+
+    choi = np.zeros((4, 4), dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            unit = np.zeros((2, 2), dtype=complex)
+            unit[i, j] = 1.0
+            choi += np.kron(unit, channel(unit))
+    return float(np.linalg.eigvalsh(choi)[0])
+
+
+_COORD = st.floats(-1.25, 1.25, allow_nan=False)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_COORD, _COORD, _COORD)
+def test_cptp_predicate_matches_choi_spectrum(lam, lam_z, lam_star):
+    smallest = _choi_min_eigenvalue(lam, lam_z, lam_star)
+    # The 1e-12 slack sits on the squared second inequality, so at the cone
+    # tip lam_z = -1 it admits Choi eigenvalues down to about -5e-7; stay
+    # further than that from the boundary.
+    assume(abs(smallest) > 1e-6)
+    first, second, _ = ch.cptp_inequalities(lam, lam_z, lam_star)
+    assert bool(first & second) == (smallest > 0.0)
+    assert bool(ch.cptp_check(ch.PhaseCovParams(lam, lam_z, lam_star))) == (smallest > 0.0)
+
+
+def test_cptp_predicate_on_arrays_and_nan():
+    triples = RNG.uniform(-1.25, 1.25, size=(2000, 3))
+    smallest = np.array([_choi_min_eigenvalue(*row) for row in triples])
+    keep = np.abs(smallest) > 1e-6
+    first, second, _ = ch.cptp_inequalities(*triples.T)
+    assert np.array_equal((first & second)[keep], smallest[keep] > 0.0)
+    nan = float("nan")
+    for triple in ((nan, 0.5, 0.0), (0.1, nan, 0.0), (0.1, 0.5, nan)):
+        first, second, _ = ch.cptp_inequalities(*triple)
+        assert not (first and second)
+        assert not ch.cptp_check(ch.PhaseCovParams(*triple))
 
 
 def test_apply_direct_identity_and_fixed_point():

@@ -1,9 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import flipswitch
+from flipswitch import cli
 from flipswitch.cli import main
 
 pytestmark = pytest.mark.usefixtures("tmp_path")
@@ -62,6 +69,91 @@ def test_check_custom_family_from_config(tmp_path):
     assert code == 0
     gp = column(out, "gamma_plus")
     assert np.max(np.abs(gp - 0.5)) <= 1e-4
+
+
+@pytest.mark.parametrize("family,param", [("eternal", 1.0), ("eternal", 3.0), ("nonunital-eternal", 0.5)])
+def test_check_long_horizon_rates(tmp_path, family, param):
+    # the rates switch to their limits at nu t = 700 (eternal) and t = 350 (nonunital-eternal)
+    cut = 700.0 / param if family == "eternal" else 350.0
+    out = tmp_path / "check.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["check", "--family", family, "--param", str(param),
+                     "--tmax", "800", "--steps", "1600", "--out", str(out)])
+    assert code == 0
+    ts = column(out, "t")
+    assert np.any((ts < cut) & (ts > cut - 1.0)) and np.any((ts > cut) & (ts < cut + 1.0))
+    decay = np.exp(-param * ts) if family == "eternal" else np.exp(-ts)
+    if family == "eternal":
+        # 0.25 (2 nu / (e^{nu t} + 1) - 1), written without a growing exponential
+        expected = 0.25 * (2.0 * param * decay / (1.0 + decay) - 1.0)
+        g_plus = g_minus = 0.5
+    else:
+        # (mu^2 - 1) sinh t / (4 (1 + mu^2 + (1 - mu^2) cosh t)), divided through by cosh t
+        sech = 2.0 * decay / (1.0 + decay**2)
+        expected = (param**2 - 1.0) * np.tanh(ts) / (4.0 * ((1.0 + param**2) * sech + 1.0 - param**2))
+        g_plus, g_minus = 0.5 * (1.0 + param), 0.5 * (1.0 - param)
+    gz = column(out, "gamma_z")
+    assert np.all(np.abs(gz - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected)))
+    assert np.all(column(out, "gamma_plus") == g_plus)
+    assert np.all(column(out, "gamma_minus") == g_minus)
+
+
+def _custom_config(tmp_path, **entries):
+    spec = {"lam": "exp(-2*t)", "lam_z": "exp(-t)", "lam_star": "0*t", **entries}
+    cfg = tmp_path / "custom.json"
+    cfg.write_text(json.dumps({"family": "custom", "custom": spec, "grid": {"t_max": 2.0, "steps": 20}}))
+    return cfg
+
+
+def test_custom_expression_unknown_name_exits_2_without_traceback(tmp_path):
+    cfg = _custom_config(tmp_path, lam_star="foo*t")
+    env = dict(os.environ, PYTHONPATH=str(Path(flipswitch.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "flipswitch.cli", "check", "--config", str(cfg)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and "foo" in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("expr", [
+    "().__class__.__base__.__subclasses__()",
+    "(lambda: ().__class__.__base__)()",
+    "[c for c in ().__class__.__base__.__subclasses__()]",
+    "'{0.__class__}'.format(())",
+    "t.__class__",
+    "exp(__import__)",
+    "1/0",
+    "'abc'",
+])
+def test_custom_expression_refused(tmp_path, capsys, expr):
+    code = main(["check", "--config", str(_custom_config(tmp_path, lam_star=expr))])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+def test_custom_expression_every_listed_name_allowed(tmp_path):
+    lam = "exp(-2*t) + 0*(sin(t)+cos(t)+tan(t)+sinh(t)+cosh(t)+tanh(t)+sqrt(t)+log(1+t)+abs(t)+pi)"
+    out = tmp_path / "check.csv"
+    assert main(["check", "--config", str(_custom_config(tmp_path, lam=lam)), "--out", str(out)]) == 0
+    assert np.all(column(out, "cptp_valid") == 1.0)
+
+
+@pytest.mark.parametrize("command", ["check", "measure"])
+def test_non_finite_custom_triple_exits_2(tmp_path, capsys, command):
+    cfg = _custom_config(tmp_path, lam="exp(-2*t)*(t-t)/(t-t)")
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = main([command, "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    assert "custom family is not finite at t = 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_evolve_reference_point_and_stability(tmp_path):
@@ -158,6 +250,16 @@ def test_config_error_paths(tmp_path):
     assert main(["measure", "--family", "dcp", "--param", "1", "--measure", "none"]) == 2
     assert main(["reproduce", "fig99", "--out", str(tmp_path)]) == 2
     assert main(["check", "--family", "unknown", "--param", "1"]) == 2  # argparse choice
+
+
+def test_measure_values_are_nd_and_ne_only(tmp_path):
+    out = str(tmp_path / "x.csv")
+    assert main(["evolve", "--family", "dcp", "--param", "3", "--measure", "none", "--out", out]) == 2
+    cfg = tmp_path / "bogus.json"
+    cfg.write_text(json.dumps({"family": "dcp", "param": 3.0, "measure": "bogus"}))
+    assert main(["measure", "--config", str(cfg)]) == 2
+    assert main(["evolve", "--config", str(cfg), "--out", out]) == 2
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_measure_json_report(tmp_path, capsys):
@@ -304,3 +406,10 @@ def test_csv_uses_15_significant_digits(tmp_path):
     first_data_line = out.read_text().splitlines()[5]
     fields = first_data_line.split(",")
     assert any(len(f.replace(".", "").replace("-", "").lstrip("0")) >= 14 for f in fields[1:])
+
+
+def test_oracles_failure_exits_5(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "ORACLE_TOL", 0.0)
+    assert main(["oracles"]) == 5
+    out = capsys.readouterr().out
+    assert "cases FAIL" in out and "PASS" not in out

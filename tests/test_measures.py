@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from flipswitch import channels as ch
 from flipswitch import matcore
@@ -108,6 +110,32 @@ def test_backflow_tail_interval():
     tail = ms.backflow_accumulate(ms.Trajectory(grid, np.array([1.0, 0.2, 0.5])))
     assert tail.revival_intervals == ((1.0, 2.0),)
     assert abs(tail.measure_value - 0.3) <= 1e-15
+
+
+def _runs_by_loop(increments):
+    """Maximal runs of increments above 1e-12 as (start, end) index pairs."""
+    runs, start = [], None
+    for k, value in enumerate(increments):
+        if value > 1e-12 and start is None:
+            start = k
+        elif value <= 1e-12 and start is not None:
+            runs.append((start, k))
+            start = None
+    if start is not None:
+        runs.append((start, len(increments)))
+    return runs
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from((-0.3, 0.0, 1e-12, 2e-12, 0.7)), max_size=40))
+@example([])
+@example([0.7] * 6)
+@example([0.7, 0.0, 0.7])
+@example([-0.3, 0.7, 0.7])
+@example([0.7, 0.7, -0.3])
+def test_revival_runs_match_loop(increments):
+    starts, ends = ms.revival_runs(np.array(increments, dtype=float))
+    assert list(zip(starts.tolist(), ends.tolist())) == _runs_by_loop(increments)
 
 
 def test_td_witness():
