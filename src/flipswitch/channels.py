@@ -175,13 +175,14 @@ def params_at(family: ChannelFamily, t: float) -> PhaseCovParams:
 
 
 def cptp_inequalities(lam, lam_z, lam_star, slack: float = CPTP_SLACK):
-    """Elementwise truth of |lam_z| + |lam_star| <= 1 and 4 lam^2 + lam_star^2 <=
-    (1 + lam_z)^2, each up to ``slack``, plus their sides (lhs1, lhs2, rhs2).
-    Written as ``<=`` so that NaN fails them.
+    """Elementwise truth of |lam_z| + |lam_star| <= 1 and sqrt(4 lam^2 + lam_star^2)
+    <= 1 + lam_z, each up to ``slack``, plus their sides (lhs1, lhs2, rhs2).
+    Both are linear in the Choi eigenvalues, so no admitted eigenvalue is below
+    -``slack``; written as ``<=`` so that NaN fails them.
     """
     lhs1 = np.abs(lam_z) + np.abs(lam_star)
-    lhs2 = 4.0 * np.square(lam) + np.square(lam_star)
-    rhs2 = np.square(1.0 + lam_z)
+    lhs2 = np.hypot(2.0 * lam, lam_star)
+    rhs2 = 1.0 + lam_z
     return lhs1 <= 1.0 + slack, lhs2 <= rhs2 + slack, (lhs1, lhs2, rhs2)
 
 
@@ -192,7 +193,7 @@ def cptp_check(p: PhaseCovParams, slack: float = CPTP_SLACK) -> CptpVerdict:
         return CptpVerdict(False, f"|lam_z| + |lam_star| = {lhs1:.12g} > 1")
     if not second:
         return CptpVerdict(
-            False, f"4 lam^2 + lam_star^2 = {lhs2:.12g} > (1 + lam_z)^2 = {rhs2:.12g}"
+            False, f"sqrt(4 lam^2 + lam_star^2) = {lhs2:.12g} > 1 + lam_z = {rhs2:.12g}"
         )
     return CptpVerdict(True)
 

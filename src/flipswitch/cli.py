@@ -194,7 +194,10 @@ def _expr_function(expr: str):
 
     def fn(t):
         try:
-            return np.asarray(eval(code, {"__builtins__": {}, **_EXPR_NAMES, "t": t}), dtype=float)
+            value = eval(code, {"__builtins__": {}, **_EXPR_NAMES, "t": t})
+            if np.iscomplexobj(value):
+                raise ConfigurationError(f"custom expression {expr!r} is complex; the triple must be real")
+            return np.asarray(value, dtype=float)
         except (ArithmeticError, TypeError, ValueError) as exc:
             raise ConfigurationError(f"custom expression {expr!r} failed: {exc}") from exc
 

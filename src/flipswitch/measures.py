@@ -6,8 +6,11 @@ signal along the evolution: trace distance of a state pair for the
 distinguishability measure, entanglement of formation of an evolved
 maximally entangled state for the entanglement measure.  Trajectories are
 evaluated by rebuilding the (super)channel from the family's Kraus set at
-every grid time and applying it to the initial state; nothing is
-concatenated across grid points.
+every grid time; nothing is concatenated across grid points.  Both signals
+are read off the map's real Pauli transfer matrix T_ab = tr(sigma_a
+M(sigma_b)) / 2: a state (1, r) goes to T @ (1, r), whose first component
+is the branch probability, and the evolved maximally entangled state is
+sum_ab T_ab sigma_a (x) sigma_b^T / 4.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from . import matcore
 from .channels import (
     ChannelFamily,
     DecoherenceRates,
+    bloch_from_density,
     cptp_check,
     cptp_inequalities,
     density_from_bloch,
@@ -41,6 +45,9 @@ INCREMENT_DEAD_BAND = 1e-12
 SUPERMAP_MODES = ("none", "flip", "switch")
 
 _Y2 = np.kron(matcore.PAULI_Y, matcore.PAULI_Y).real.astype(complex)
+_PAULIS = np.stack([matcore.ID2, matcore.PAULI_X, matcore.PAULI_Y, matcore.PAULI_Z])
+# _CHOI_BASIS[a, b] = sigma_a (x) sigma_b^T / 4, system factor first
+_CHOI_BASIS = np.einsum("aij,blk->abikjl", _PAULIS, _PAULIS).reshape(4, 4, 4, 4) / 4.0
 
 
 @dataclass(frozen=True)
@@ -67,7 +74,6 @@ class Trajectory:
 
     grid: TimeGrid
     values: np.ndarray
-    success_probs: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=float)
@@ -146,16 +152,18 @@ def concurrence(rho: np.ndarray) -> float:
     return min(max(c, 0.0), 1.0)
 
 
-def entanglement_of_formation(c: float) -> float:
-    """Entanglement of formation of a two-qubit state from its concurrence."""
-    c = float(c)
-    if c < -1e-9 or c > 1.0 + 1e-9:
-        raise NumericContractError(f"concurrence {c!r} outside [0, 1]")
-    c = min(max(c, 0.0), 1.0)
-    x = 0.5 + 0.5 * np.sqrt(max(1.0 - c * c, 0.0))
-    if x <= 0.0 or x >= 1.0:
-        return 0.0
-    return float(-x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x))
+def entanglement_of_formation(c):
+    """Entanglement of formation of a two-qubit state from its concurrence,
+    elementwise (a scalar gives a float)."""
+    c = np.asarray(c, dtype=float)
+    outside = (c < -1e-9) | (c > 1.0 + 1e-9)
+    if np.any(outside):
+        raise NumericContractError(f"concurrence {c[outside].flat[0]!r} outside [0, 1]")
+    c = np.clip(c, 0.0, 1.0)
+    x = 0.5 + 0.5 * np.sqrt(1.0 - c * c)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = np.where(x < 1.0, -x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x), 0.0)
+    return float(e) if e.ndim == 0 else e
 
 
 def revival_runs(increments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -208,16 +216,6 @@ def _checked_triples(family: ChannelFamily, ts: np.ndarray):
     return lam, lam_z, lam_star
 
 
-def _require_flippable(family: ChannelFamily, lam_star: np.ndarray) -> None:
-    if family.kind in ("dcp", "eternal"):
-        return
-    if family.kind == "custom" and float(np.max(np.abs(lam_star))) <= 1e-12:
-        return
-    raise BidirectionalityError(
-        "time flip requires a unital family (the axial shift must vanish)"
-    )
-
-
 def _control_weights(ctrl: ControlSpec) -> tuple[complex, complex]:
     outcome = ctrl.outcome_vector()
     chi = ctrl.initial
@@ -247,10 +245,11 @@ def conditional_kraus(
         ctrl = ControlSpec()
     w0, w1 = _control_weights(ctrl)
     if supermap == "flip":
-        _require_flippable(family, lam_star)
-        forward = mk
-        backward = mk.transpose(0, 1, 3, 2)
-        return w0 * forward + w1 * backward, True
+        if float(np.max(np.abs(lam_star))) > 1e-12:
+            raise BidirectionalityError(
+                "time flip requires a unital family (the axial shift must vanish)"
+            )
+        return w0 * mk + w1 * mk.transpose(0, 1, 3, 2), True
     products = np.einsum("tiab,tjbc->tijac", mk, mk)
     t_len = mk.shape[0]
     one_two = products.reshape(t_len, 16, 2, 2)
@@ -258,70 +257,61 @@ def conditional_kraus(
     return w0 * one_two + w1 * two_one, True
 
 
-def _normalize_states(out: np.ndarray, ts: np.ndarray, postselected: bool):
-    traces = np.einsum("tii->t", out).real
-    if postselected:
-        bad = traces <= SUCCESS_PROB_FLOOR
-        if np.any(bad):
-            t_bad = float(ts[np.argmax(bad)])
-            raise PostSelectionError(
-                f"post-selection probability vanishes at t = {t_bad:.9g}"
-            )
-        return out / traces[:, None, None], traces
-    return out, None
+def _transfer_matrices(stack: np.ndarray) -> np.ndarray:
+    """Real Pauli transfer matrices T_ab = tr(sigma_a M(sigma_b)) / 2 of the
+    operator sums in a (T, n, 2, 2) Kraus stack, shape (T, 4, 4)."""
+    t = np.einsum("aki,tnij,bjl,tnkl->tab", _PAULIS, stack, _PAULIS, stack.conj(), optimize=True)
+    return t.real / 2.0
 
 
-def _evolve_qubit(stack: np.ndarray, rho: np.ndarray, ts, postselected: bool):
-    out = np.einsum("tnij,jk,tnlk->til", stack, rho, stack.conj(), optimize=True)
-    return _normalize_states(out, ts, postselected)
-
-
-def _evolve_bell(stack: np.ndarray, ts, postselected: bool):
-    bell = matcore.density(matcore.BELL_KET).reshape(2, 2, 2, 2)
-    out = np.einsum(
-        "tnij,jakb,tnlk->tialb", stack, bell, stack.conj(), optimize=True
-    ).reshape(len(ts), 4, 4)
-    return _normalize_states(out, ts, postselected)
-
-
-def _distance_series(states_1: np.ndarray, states_2: np.ndarray) -> np.ndarray:
-    w = np.linalg.eigvalsh(states_1 - states_2)
-    return 0.5 * np.abs(w).sum(axis=1)
-
-
-def _concurrence_series(states: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(states)
-    w = np.where(w < matcore.ZERO_EIG_FLOOR, 0.0, w)
-    roots = (v * np.sqrt(w)[:, None, :]) @ np.conj(np.swapaxes(v, 1, 2))
-    flipped_roots = _Y2 @ roots.conj() @ _Y2
-    lam = np.linalg.svd(flipped_roots @ roots, compute_uv=False)
-    c = lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3]
-    return np.clip(c, 0.0, 1.0)
-
-
-def _eof_series(c: np.ndarray) -> np.ndarray:
-    x = 0.5 + 0.5 * np.sqrt(np.clip(1.0 - c * c, 0.0, None))
-    x = np.clip(x, 0.0, 1.0)
-    inner = np.clip(1.0 - x, 1e-300, None)
-    xs = np.clip(x, 1e-300, None)
-    e = -xs * np.log2(xs) - inner * np.log2(inner)
-    return np.where(c <= 0.0, 0.0, e)
+def _checked_probs(probs: np.ndarray, ts: np.ndarray, postselected: bool):
+    """The branch probabilities of a post-selected evolution (None otherwise),
+    refused from the first time at or below the floor."""
+    if not postselected:
+        return None
+    bad = probs <= SUCCESS_PROB_FLOOR
+    if np.any(bad):
+        t_bad = float(ts[np.argmax(bad)])
+        raise PostSelectionError(f"post-selection probability vanishes at t = {t_bad:.9g}")
+    return probs
 
 
 @dataclass(frozen=True)
 class PairEvolution:
-    """Both members of a pair evolved over a grid, with branch probabilities."""
+    """Bloch vectors of both members of a pair over a grid, with branch probabilities."""
 
     grid: TimeGrid
-    states_1: np.ndarray
-    states_2: np.ndarray
+    bloch_1: np.ndarray
+    bloch_2: np.ndarray
     probs_1: np.ndarray | None
     probs_2: np.ndarray | None
 
     @property
     def distance(self) -> np.ndarray:
         """Trace distance of the two members at every grid time."""
-        return _distance_series(self.states_1, self.states_2)
+        return 0.5 * np.linalg.norm(self.bloch_1 - self.bloch_2, axis=1)
+
+
+def _evolve_pair(grid: TimeGrid, transfer, postselected: bool, v1, v2) -> PairEvolution:
+    """Evolve the two states with Pauli vectors v1 = (1, r1) and v2 = (1, r2)."""
+    out_1, out_2 = transfer @ v1, transfer @ v2
+    probs_1 = _checked_probs(out_1[:, 0], grid.points, postselected)
+    probs_2 = _checked_probs(out_2[:, 0], grid.points, postselected)
+    if postselected:
+        out_1, out_2 = out_1 / probs_1[:, None], out_2 / probs_2[:, None]
+    return PairEvolution(grid, out_1[:, 1:], out_2[:, 1:], probs_1, probs_2)
+
+
+def _concurrence_series(states: np.ndarray) -> np.ndarray:
+    # Every conditional Kraus operator is diagonal or anti-diagonal, so the
+    # map keeps (I, Z) apart from (X, Y) and T_ab vanishes across the two
+    # blocks.  The Choi state sum_ab T_ab sigma_a (x) sigma_b^T / 4 is then an
+    # X state (nonzero only on the diagonal and anti-diagonal), whose
+    # concurrence has the closed form of Yu & Eberly, QIC 7, 459 (2007).
+    d = states.diagonal(axis1=1, axis2=2).real
+    outer = np.abs(states[:, 0, 3]) - np.sqrt(np.clip(d[:, 1] * d[:, 2], 0.0, None))
+    inner = np.abs(states[:, 1, 2]) - np.sqrt(np.clip(d[:, 0] * d[:, 3], 0.0, None))
+    return np.clip(2.0 * np.maximum(outer, inner), 0.0, 1.0)
 
 
 def pair_evolution(
@@ -332,11 +322,9 @@ def pair_evolution(
     ctrl: ControlSpec | None = None,
 ) -> PairEvolution:
     """Evolve both pair members through the scenario at every grid time."""
-    ts = grid.points
-    stack, postselected = conditional_kraus(family, supermap, ts, ctrl)
-    states_1, probs_1 = _evolve_qubit(stack, pair.rho1, ts, postselected)
-    states_2, probs_2 = _evolve_qubit(stack, pair.rho2, ts, postselected)
-    return PairEvolution(grid, states_1, states_2, probs_1, probs_2)
+    stack, postselected = conditional_kraus(family, supermap, grid.points, ctrl)
+    v1, v2 = (np.append(1.0, bloch_from_density(rho)) for rho in (pair.rho1, pair.rho2))
+    return _evolve_pair(grid, _transfer_matrices(stack), postselected, v1, v2)
 
 
 def distance_trajectory(
@@ -347,8 +335,7 @@ def distance_trajectory(
     ctrl: ControlSpec | None = None,
 ) -> Trajectory:
     """Trace distance of the evolved pair along the grid."""
-    ev = pair_evolution(family, supermap, pair, grid, ctrl)
-    return Trajectory(grid, ev.distance, ev.probs_1)
+    return Trajectory(grid, pair_evolution(family, supermap, pair, grid, ctrl).distance)
 
 
 def bell_evolution(
@@ -358,9 +345,13 @@ def bell_evolution(
     ctrl: ControlSpec | None = None,
 ):
     """Evolve the maximally entangled system-ancilla state; returns (states, probs)."""
-    ts = grid.points
-    stack, postselected = conditional_kraus(family, supermap, ts, ctrl)
-    return _evolve_bell(stack, ts, postselected)
+    stack, postselected = conditional_kraus(family, supermap, grid.points, ctrl)
+    transfer = _transfer_matrices(stack)
+    probs = _checked_probs(transfer[:, 0, 0], grid.points, postselected)
+    states = np.einsum("tab,abij->tij", transfer, _CHOI_BASIS)
+    if postselected:
+        states /= probs[:, None, None]
+    return states, probs
 
 
 def entanglement_signals(
@@ -372,7 +363,7 @@ def entanglement_signals(
     """Concurrence and entanglement-of-formation series with branch probabilities."""
     states, probs = bell_evolution(family, supermap, grid, ctrl)
     c = _concurrence_series(states)
-    return c, _eof_series(c), probs
+    return c, entanglement_of_formation(c), probs
 
 
 def entanglement_trajectory(
@@ -382,8 +373,8 @@ def entanglement_trajectory(
     ctrl: ControlSpec | None = None,
 ) -> Trajectory:
     """Entanglement of formation of the evolved maximally entangled state."""
-    _, eof, probs = entanglement_signals(family, supermap, grid, ctrl)
-    return Trajectory(grid, eof, probs)
+    _, eof, _ = entanglement_signals(family, supermap, grid, ctrl)
+    return Trajectory(grid, eof)
 
 
 def nd_for_scenario(
@@ -423,21 +414,18 @@ def pair_search(
     """
     if samples < 1:
         raise ConfigurationError("samples must be at least 1")
-    ts = grid.points
-    stack, postselected = conditional_kraus(family, supermap, ts, ctrl)
+    stack, postselected = conditional_kraus(family, supermap, grid.points, ctrl)
+    transfer = _transfer_matrices(stack)
     rng = np.random.default_rng(seed)
     zs = rng.uniform(-1.0, 1.0, size=samples)
     phis = rng.uniform(0.0, 2.0 * np.pi, size=samples)
-    best_pair = None
+    best_v = None
     best_result = None
     for z, phi in zip(zs, phis):
         r = np.sqrt(1.0 - z * z)
-        pair = antipodal_pair(np.array([r * np.cos(phi), r * np.sin(phi), z]))
-        states_1, _ = _evolve_qubit(stack, pair.rho1, ts, postselected)
-        states_2, _ = _evolve_qubit(stack, pair.rho2, ts, postselected)
-        result = backflow_accumulate(
-            Trajectory(grid, _distance_series(states_1, states_2))
-        )
+        v = np.array([r * np.cos(phi), r * np.sin(phi), z])
+        ev = _evolve_pair(grid, transfer, postselected, np.append(1.0, v), np.append(1.0, -v))
+        result = backflow_accumulate(Trajectory(grid, ev.distance))
         if best_result is None or result.measure_value > best_result.measure_value:
-            best_pair, best_result = pair, result
-    return best_pair, best_result
+            best_v, best_result = v, result
+    return antipodal_pair(best_v), best_result

@@ -119,10 +119,9 @@ _COORD = st.floats(-1.25, 1.25, allow_nan=False)
 @given(_COORD, _COORD, _COORD)
 def test_cptp_predicate_matches_choi_spectrum(lam, lam_z, lam_star):
     smallest = _choi_min_eigenvalue(lam, lam_z, lam_star)
-    # The 1e-12 slack sits on the squared second inequality, so at the cone
-    # tip lam_z = -1 it admits Choi eigenvalues down to about -5e-7; stay
-    # further than that from the boundary.
-    assume(abs(smallest) > 1e-6)
+    # The 1e-12 slack sits on forms linear in the Choi eigenvalues, so it
+    # admits none below about -1e-12; stay further than that from the boundary.
+    assume(abs(smallest) > 1e-9)
     first, second, _ = ch.cptp_inequalities(lam, lam_z, lam_star)
     assert bool(first & second) == (smallest > 0.0)
     assert bool(ch.cptp_check(ch.PhaseCovParams(lam, lam_z, lam_star))) == (smallest > 0.0)
@@ -131,7 +130,7 @@ def test_cptp_predicate_matches_choi_spectrum(lam, lam_z, lam_star):
 def test_cptp_predicate_on_arrays_and_nan():
     triples = RNG.uniform(-1.25, 1.25, size=(2000, 3))
     smallest = np.array([_choi_min_eigenvalue(*row) for row in triples])
-    keep = np.abs(smallest) > 1e-6
+    keep = np.abs(smallest) > 1e-9
     first, second, _ = ch.cptp_inequalities(*triples.T)
     assert np.array_equal((first & second)[keep], smallest[keep] > 0.0)
     nan = float("nan")
@@ -139,6 +138,18 @@ def test_cptp_predicate_on_arrays_and_nan():
         first, second, _ = ch.cptp_inequalities(*triple)
         assert not (first and second)
         assert not ch.cptp_check(ch.PhaseCovParams(*triple))
+
+
+def test_cptp_slack_admits_no_eigenvalue_beyond_it():
+    # Choi eigenvalue -4e-7 at the cone tip lam_z = -1: a slack on the squared
+    # second inequality (4 lam^2 = 6.4e-13 <= 0 + 1e-12) used to admit it.
+    assert _choi_min_eigenvalue(4e-7, -1.0, 0.0) < -3.9e-7
+    verdict = ch.cptp_check(ch.PhaseCovParams(4e-7, -1.0, 0.0))
+    assert not verdict
+    assert "1 + lam_z" in verdict.reason
+    with pytest.raises(CptpViolationError):
+        ch.kraus_from_params(ch.PhaseCovParams(4e-7, -1.0, 0.0))
+    assert ch.cptp_check(ch.PhaseCovParams(0.0, -1.0, 0.0))
 
 
 def test_apply_direct_identity_and_fixed_point():

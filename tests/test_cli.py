@@ -10,7 +10,10 @@ import numpy as np
 import pytest
 
 import flipswitch
-from flipswitch import cli
+from flipswitch import channels as ch
+from flipswitch import cli, matcore
+from flipswitch import measures as ms
+from flipswitch import supermaps as sm
 from flipswitch.cli import main
 
 pytestmark = pytest.mark.usefixtures("tmp_path")
@@ -144,6 +147,19 @@ def test_custom_expression_every_listed_name_allowed(tmp_path):
     assert np.all(column(out, "cptp_valid") == 1.0)
 
 
+@pytest.mark.parametrize("expr", ["0.1j*sin(t)", "sqrt(-1+0j)"])
+def test_complex_custom_expression_exits_2(tmp_path, capsys, expr):
+    out = tmp_path / "check.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["check", "--config", str(_custom_config(tmp_path, lam_star=expr)), "--out", str(out)])
+    assert code == 2
+    assert not [w for w in caught if issubclass(w.category, np.exceptions.ComplexWarning)]
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "complex" in err and "ComplexWarning" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["check", "measure"])
 def test_non_finite_custom_triple_exits_2(tmp_path, capsys, command):
     cfg = _custom_config(tmp_path, lam="exp(-2*t)*(t-t)/(t-t)")
@@ -221,6 +237,37 @@ def test_evolve_flip_nonunital_rejected(tmp_path):
     code = main(["evolve", "--family", "gad", "--param", "1", "--supermap", "flip",
                  "--out", str(tmp_path / "x.csv")])
     assert code == 2
+
+
+@pytest.mark.parametrize("measure", ["nd", "ne"])
+def test_flip_accepts_every_family_with_vanishing_shift(tmp_path, capsys, measure):
+    # nonunital-eternal(0) has lam_star = 0 at every time, so the reference
+    # time flip accepts it, and so does the engine
+    out = tmp_path / "signal.csv"
+    code = main(["measure", "--family", "nonunital-eternal", "--param", "0", "--supermap", "flip",
+                 "--measure", measure, "--tmax", "4", "--steps", "40", "--out", str(out)])
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)
+    ts, signal = column(out, "t"), column(out, "signal")
+    family, pair = ch.nonunital_eternal(0.0), ms.named_pair("plus-minus")
+    for idx in (0, 7, 23, 40):
+        flip = sm.time_flip_kraus(ch.kraus_from_params(ch.params_at(family, ts[idx])))
+        if measure == "nd":
+            s1, s2 = (sm.apply_postselect(flip, rho).state for rho in (pair.rho1, pair.rho2))
+            expected = ms.trace_distance(s1, s2)
+        else:
+            state = sm.apply_postselect(sm.extend_with_ancilla(flip), matcore.density(matcore.BELL_KET)).state
+            expected = ms.entanglement_of_formation(ms.concurrence(state))
+        assert abs(signal[idx] - expected) <= 1e-12
+    assert abs(report["value"] - ms.backflow_accumulate(ms.Trajectory(ms.TimeGrid(4.0, 40), signal)).measure_value) <= 1e-12
+
+
+@pytest.mark.parametrize("mu", ["0.4", "-0.9"])
+def test_flip_refuses_nonunital_eternal_with_nonzero_mu(tmp_path, capsys, mu):
+    code = main(["measure", "--family", "nonunital-eternal", "--param", mu, "--supermap", "flip",
+                 "--tmax", "4", "--steps", "40"])
+    assert code == 2
+    assert "time flip requires a unital family" in capsys.readouterr().err
 
 
 def test_evolve_with_vector_control_state(tmp_path):
