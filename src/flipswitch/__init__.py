@@ -41,9 +41,7 @@ from .measures import (
     Trajectory,
     backflow_accumulate,
     concurrence,
-    distance_trajectory,
     entanglement_of_formation,
-    entanglement_trajectory,
     named_pair,
     nd_for_scenario,
     ne_for_scenario,

@@ -45,7 +45,8 @@ from .measures import (
     PAIR_NAMES,
     SUPERMAP_MODES,
     TimeGrid,
-    distance_trajectory,
+    Trajectory,
+    backflow_accumulate,
     entanglement_signals,
     named_pair,
     nd_for_scenario,
@@ -242,21 +243,11 @@ def _grid(cfg: ScenarioConfig) -> TimeGrid:
     return TimeGrid(cfg.t_max, cfg.steps)
 
 
-def _format(value: float) -> str:
-    return f"{value:.15g}"
-
-
 def _write_csv(out: str | None, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
-    lines = [",".join(header)]
-    rows = len(columns[0])
-    for i in range(rows):
-        lines.append(",".join(_format(float(col[i])) for col in columns))
-    text = "\n".join(lines) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    np.savetxt(
+        sys.stdout if out is None else out, np.column_stack(columns),
+        fmt="%.15g", delimiter=",", header=",".join(header), comments="",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -287,21 +278,24 @@ def run_check(cfg: ScenarioConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _write_trajectory(out, family, supermap, measure, pair, grid, ctrl) -> None:
-    """CSV of the concurrence/eof (ne) or pair trace distance (nd) signal."""
+def _write_trajectory(out, family, supermap, measure, pair, grid, ctrl) -> np.ndarray:
+    """CSV of the concurrence/eof (ne) or pair trace distance (nd) signal;
+    returns the signal the measure accumulates (eof or trace distance)."""
     if measure == "ne":
-        conc, eof, probs = entanglement_signals(family, supermap, grid, ctrl)
-        header, columns = ["t", "concurrence", "eof"], [grid.points, conc, eof]
+        conc, signal, probs = entanglement_signals(family, supermap, grid, ctrl)
+        header, columns = ["t", "concurrence", "eof"], [grid.points, conc, signal]
         if probs is not None:
             header.append("success_prob")
             columns.append(probs)
     else:
         ev = pair_evolution(family, supermap, pair, grid, ctrl)
-        header, columns = ["t", "trace_distance"], [grid.points, ev.distance]
+        signal = ev.distance
+        header, columns = ["t", "trace_distance"], [grid.points, signal]
         if ev.probs_1 is not None:
             header += ["success_prob_1", "success_prob_2"]
             columns += [ev.probs_1, ev.probs_2]
     _write_csv(out, header, columns)
+    return signal
 
 
 def run_evolve(cfg: ScenarioConfig) -> int:
@@ -378,7 +372,7 @@ _FIGURES = {
     "fig7": dict(
         measure="nd", family="gad", symbol="alpha", values=(8.0, 4.0, 2.0, 1.0),
         supermap="switch", pair="plus-minus", curve_grid=(20.0, 4000),
-        inset=None, growth_grid=(20.0, 4000),
+        inset=None,
     ),
     "fig8": dict(
         measure="ne", family="gad", symbol="alpha", values=(8.0, 4.0, 2.0, 1.0),
@@ -432,14 +426,17 @@ def run_reproduce(figure: str, out_dir: str, args) -> int:
     written = []
     curve_grid = _figure_grid(spec["curve_grid"], args)
     ctrl = ControlSpec()
+    signals = []
     for value in spec["values"]:
         family = family_from_id(spec["family"], value)
         path = out / f"{figure}_{spec['symbol']}={value:g}.csv"
         pair = named_pair(spec["pair"]) if spec["measure"] == "nd" else None
-        _write_trajectory(str(path), family, spec["supermap"], spec["measure"], pair, curve_grid, ctrl)
+        signals.append(
+            _write_trajectory(str(path), family, spec["supermap"], spec["measure"], pair, curve_grid, ctrl)
+        )
         written.append(path)
 
-    if spec.get("inset") is not None:
+    if spec["inset"] is not None:
         lo, hi = spec["inset"]
         sweep = np.linspace(lo, hi, INSET_SWEEP_POINTS)
         inset_grid = _figure_grid(spec["inset_grid"], args)
@@ -456,26 +453,17 @@ def run_reproduce(figure: str, out_dir: str, args) -> int:
         path = out / f"{figure}_inset_{spec['measure']}_vs_{spec['symbol']}.csv"
         _write_csv(str(path), [spec["symbol"], spec["measure"]], [sweep, values])
         written.append(path)
-
-    if spec.get("growth_grid") is not None:
+    else:
         # The accumulated distance backflow grows without bound here, so a
-        # finite-horizon value plus a per-period gain estimate is reported
-        # instead of a sweep.
-        grid = _figure_grid(spec["growth_grid"], args)
-        alphas, totals, gains = [], [], []
-        for value in spec["values"]:
-            family = family_from_id(spec["family"], value)
-            result = nd_for_scenario(
-                family, spec["supermap"], named_pair(spec["pair"]), grid, ctrl
-            )
-            alphas.append(value)
-            totals.append(result.measure_value)
-            gains.append(_mean_rise(np.diff(result.signal.values)[grid.steps // 2:]))
+        # finite-horizon value of each curve plus a per-period gain estimate
+        # is reported instead of a sweep.
+        totals = [backflow_accumulate(Trajectory(curve_grid, s)).measure_value for s in signals]
+        gains = [_mean_rise(np.diff(s)[curve_grid.steps // 2:]) for s in signals]
         path = out / f"{figure}_growth_summary.csv"
         _write_csv(
             str(path),
             ["alpha", "nd_horizon", "t_max", "gain_per_period"],
-            [np.array(alphas), np.array(totals), np.full(len(alphas), grid.t_max), np.array(gains)],
+            [spec["values"], totals, np.full(len(signals), curve_grid.t_max), gains],
         )
         written.append(path)
 
@@ -528,24 +516,23 @@ _ORACLE_CASES = (
 )
 
 
-def oracle_report(grid: TimeGrid = ORACLE_GRID):
+def oracle_report():
     """Max absolute error of every closed-form case at every parameter."""
-    ts = grid.points
+    ts = ORACLE_GRID.points
     rows = []
     for name, family_id, supermap, kind, values, form in _ORACLE_CASES:
         for value in values:
             family = family_from_id(family_id, value)
             if kind == "nd":
-                traj = distance_trajectory(family, supermap, named_pair("plus-minus"), grid)
-                simulated = traj.values
+                simulated = pair_evolution(family, supermap, named_pair("plus-minus"), ORACLE_GRID).distance
             else:
-                simulated, _, _ = entanglement_signals(family, supermap, grid)
+                simulated, _, _ = entanglement_signals(family, supermap, ORACLE_GRID)
             err = float(np.max(np.abs(simulated - form(ts, value))))
             rows.append((name, value, err, err < ORACLE_TOL))
     return rows
 
 
-def run_oracles(cfg: ScenarioConfig) -> int:
+def run_oracles() -> int:
     rows = oracle_report()
     failures = 0
     for name, value, err, ok in rows:
@@ -564,17 +551,19 @@ def run_oracles(cfg: ScenarioConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_scenario_flags(sub: argparse.ArgumentParser) -> None:
+def _add_scenario_flags(sub: argparse.ArgumentParser, evolves: bool) -> None:
+    """The flags a scenario command reads; only evolve/measure run a supermap."""
     sub.add_argument("--config", help="JSON config document")
     sub.add_argument("--family", choices=FAMILY_IDS)
     sub.add_argument("--param", type=float, help="family parameter")
-    sub.add_argument("--supermap", choices=SUPERMAP_MODES)
     sub.add_argument("--tmax", type=float, help="grid end time")
     sub.add_argument("--steps", type=int, help="grid step count")
-    sub.add_argument("--measure", choices=MEASURES)
-    sub.add_argument("--pair", choices=PAIR_NAMES + ("search",))
-    sub.add_argument("--seed", type=int, help="seed for pair search")
     sub.add_argument("--out", help="output path")
+    if evolves:
+        sub.add_argument("--supermap", choices=SUPERMAP_MODES)
+        sub.add_argument("--measure", choices=MEASURES)
+        sub.add_argument("--pair", choices=PAIR_NAMES + ("search",))
+        sub.add_argument("--seed", type=int, help="seed for pair search")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -589,13 +578,11 @@ def build_parser() -> argparse.ArgumentParser:
         ("evolve", "emit a scenario trajectory as CSV"),
         ("measure", "compute a backflow measure for a scenario"),
     ):
-        sub = subs.add_parser(name, help=help_text)
-        _add_scenario_flags(sub)
+        _add_scenario_flags(subs.add_parser(name, help=help_text), evolves=name != "check")
 
     rep = subs.add_parser("reproduce", help="write reference curves for fig3..fig10")
     rep.add_argument("figure", help="figure identifier, fig3..fig10")
     rep.add_argument("--out", default=".", help="output directory")
-    rep.add_argument("--config", help="JSON config document")
     rep.add_argument("--tmax", type=float, help="override curve/sweep end time")
     rep.add_argument("--steps", type=int, help="override curve/sweep step count")
 
@@ -620,7 +607,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "reproduce":
             return run_reproduce(args.figure, args.out, args)
         if args.command == "oracles":
-            return run_oracles(ScenarioConfig())
+            return run_oracles()
         raise ConfigurationError(f"unknown command {args.command!r}")
     except CptpViolationError as exc:
         print(f"error: {exc}", file=sys.stderr)

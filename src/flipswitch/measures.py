@@ -9,8 +9,8 @@ evaluated by rebuilding the (super)channel from the family's Kraus set at
 every grid time; nothing is concatenated across grid points.  Both signals
 are read off the map's real Pauli transfer matrix T_ab = tr(sigma_a
 M(sigma_b)) / 2: a state (1, r) goes to T @ (1, r), whose first component
-is the branch probability, and the evolved maximally entangled state is
-sum_ab T_ab sigma_a (x) sigma_b^T / 4.
+is the branch probability, and the concurrence of the evolved maximally
+entangled state is a closed form in the entries of T.
 """
 
 from __future__ import annotations
@@ -46,8 +46,7 @@ SUPERMAP_MODES = ("none", "flip", "switch")
 
 _Y2 = np.kron(matcore.PAULI_Y, matcore.PAULI_Y).real.astype(complex)
 _PAULIS = np.stack([matcore.ID2, matcore.PAULI_X, matcore.PAULI_Y, matcore.PAULI_Z])
-# _CHOI_BASIS[a, b] = sigma_a (x) sigma_b^T / 4, system factor first
-_CHOI_BASIS = np.einsum("aij,blk->abikjl", _PAULIS, _PAULIS).reshape(4, 4, 4, 4) / 4.0
+_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]])
 
 
 @dataclass(frozen=True)
@@ -257,11 +256,14 @@ def conditional_kraus(
     return w0 * one_two + w1 * two_one, True
 
 
-def _transfer_matrices(stack: np.ndarray) -> np.ndarray:
+def transfer_matrices(
+    family: ChannelFamily, supermap: str, ts: np.ndarray, ctrl: ControlSpec | None
+) -> tuple[np.ndarray, bool]:
     """Real Pauli transfer matrices T_ab = tr(sigma_a M(sigma_b)) / 2 of the
-    operator sums in a (T, n, 2, 2) Kraus stack, shape (T, 4, 4)."""
+    conditional map at every time, shape (T, 4, 4), and whether it is post-selected."""
+    stack, postselected = conditional_kraus(family, supermap, ts, ctrl)
     t = np.einsum("aki,tnij,bjl,tnkl->tab", _PAULIS, stack, _PAULIS, stack.conj(), optimize=True)
-    return t.real / 2.0
+    return t.real / 2.0, postselected
 
 
 def _checked_probs(probs: np.ndarray, ts: np.ndarray, postselected: bool):
@@ -302,15 +304,19 @@ def _evolve_pair(grid: TimeGrid, transfer, postselected: bool, v1, v2) -> PairEv
     return PairEvolution(grid, out_1[:, 1:], out_2[:, 1:], probs_1, probs_2)
 
 
-def _concurrence_series(states: np.ndarray) -> np.ndarray:
+def _concurrence_series(transfer: np.ndarray) -> np.ndarray:
     # Every conditional Kraus operator is diagonal or anti-diagonal, so the
     # map keeps (I, Z) apart from (X, Y) and T_ab vanishes across the two
     # blocks.  The Choi state sum_ab T_ab sigma_a (x) sigma_b^T / 4 is then an
     # X state (nonzero only on the diagonal and anti-diagonal), whose
     # concurrence has the closed form of Yu & Eberly, QIC 7, 459 (2007).
-    d = states.diagonal(axis1=1, axis2=2).real
-    outer = np.abs(states[:, 0, 3]) - np.sqrt(np.clip(d[:, 1] * d[:, 2], 0.0, None))
-    inner = np.abs(states[:, 1, 2]) - np.sqrt(np.clip(d[:, 0] * d[:, 3], 0.0, None))
+    # Its populations <ij|rho|ij> come from the (I, Z) block, its two
+    # coherences |rho_03| and |rho_12| from the (X, Y) block.
+    pops = _HADAMARD @ transfer[:, ::3, ::3] @ _HADAMARD / 4.0
+    xx, xy, yx, yy = (transfer[:, a, b] for a in (1, 2) for b in (1, 2))
+    rho_03, rho_12 = np.hypot(xx + yy, xy - yx) / 4.0, np.hypot(xx - yy, xy + yx) / 4.0
+    outer = rho_03 - np.sqrt(np.clip(pops[:, 0, 1] * pops[:, 1, 0], 0.0, None))
+    inner = rho_12 - np.sqrt(np.clip(pops[:, 0, 0] * pops[:, 1, 1], 0.0, None))
     return np.clip(2.0 * np.maximum(outer, inner), 0.0, 1.0)
 
 
@@ -322,36 +328,9 @@ def pair_evolution(
     ctrl: ControlSpec | None = None,
 ) -> PairEvolution:
     """Evolve both pair members through the scenario at every grid time."""
-    stack, postselected = conditional_kraus(family, supermap, grid.points, ctrl)
+    transfer, postselected = transfer_matrices(family, supermap, grid.points, ctrl)
     v1, v2 = (np.append(1.0, bloch_from_density(rho)) for rho in (pair.rho1, pair.rho2))
-    return _evolve_pair(grid, _transfer_matrices(stack), postselected, v1, v2)
-
-
-def distance_trajectory(
-    family: ChannelFamily,
-    supermap: str,
-    pair: StatePair,
-    grid: TimeGrid,
-    ctrl: ControlSpec | None = None,
-) -> Trajectory:
-    """Trace distance of the evolved pair along the grid."""
-    return Trajectory(grid, pair_evolution(family, supermap, pair, grid, ctrl).distance)
-
-
-def bell_evolution(
-    family: ChannelFamily,
-    supermap: str,
-    grid: TimeGrid,
-    ctrl: ControlSpec | None = None,
-):
-    """Evolve the maximally entangled system-ancilla state; returns (states, probs)."""
-    stack, postselected = conditional_kraus(family, supermap, grid.points, ctrl)
-    transfer = _transfer_matrices(stack)
-    probs = _checked_probs(transfer[:, 0, 0], grid.points, postselected)
-    states = np.einsum("tab,abij->tij", transfer, _CHOI_BASIS)
-    if postselected:
-        states /= probs[:, None, None]
-    return states, probs
+    return _evolve_pair(grid, transfer, postselected, v1, v2)
 
 
 def entanglement_signals(
@@ -360,21 +339,14 @@ def entanglement_signals(
     grid: TimeGrid,
     ctrl: ControlSpec | None = None,
 ):
-    """Concurrence and entanglement-of-formation series with branch probabilities."""
-    states, probs = bell_evolution(family, supermap, grid, ctrl)
-    c = _concurrence_series(states)
+    """Concurrence and entanglement-of-formation series of the evolved maximally
+    entangled system-ancilla state, with branch probabilities."""
+    transfer, postselected = transfer_matrices(family, supermap, grid.points, ctrl)
+    probs = _checked_probs(transfer[:, 0, 0], grid.points, postselected)
+    if postselected:
+        transfer = transfer / probs[:, None, None]
+    c = _concurrence_series(transfer)
     return c, entanglement_of_formation(c), probs
-
-
-def entanglement_trajectory(
-    family: ChannelFamily,
-    supermap: str,
-    grid: TimeGrid,
-    ctrl: ControlSpec | None = None,
-) -> Trajectory:
-    """Entanglement of formation of the evolved maximally entangled state."""
-    _, eof, _ = entanglement_signals(family, supermap, grid, ctrl)
-    return Trajectory(grid, eof)
 
 
 def nd_for_scenario(
@@ -385,7 +357,8 @@ def nd_for_scenario(
     ctrl: ControlSpec | None = None,
 ) -> MemoryResult:
     """Trace-distance backflow accumulated over the scenario."""
-    return backflow_accumulate(distance_trajectory(family, supermap, pair, grid, ctrl))
+    distance = pair_evolution(family, supermap, pair, grid, ctrl).distance
+    return backflow_accumulate(Trajectory(grid, distance))
 
 
 def ne_for_scenario(
@@ -395,7 +368,8 @@ def ne_for_scenario(
     ctrl: ControlSpec | None = None,
 ) -> MemoryResult:
     """Entanglement-of-formation backflow accumulated over the scenario."""
-    return backflow_accumulate(entanglement_trajectory(family, supermap, grid, ctrl))
+    _, eof, _ = entanglement_signals(family, supermap, grid, ctrl)
+    return backflow_accumulate(Trajectory(grid, eof))
 
 
 def pair_search(
@@ -414,8 +388,7 @@ def pair_search(
     """
     if samples < 1:
         raise ConfigurationError("samples must be at least 1")
-    stack, postselected = conditional_kraus(family, supermap, grid.points, ctrl)
-    transfer = _transfer_matrices(stack)
+    transfer, postselected = transfer_matrices(family, supermap, grid.points, ctrl)
     rng = np.random.default_rng(seed)
     zs = rng.uniform(-1.0, 1.0, size=samples)
     phis = rng.uniform(0.0, 2.0 * np.pi, size=samples)

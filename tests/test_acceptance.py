@@ -30,7 +30,7 @@ def _report(criterion: str, ok: bool, detail: str = "") -> None:
 
 
 def test_criterion_01_oracle_regression():
-    rows = oracle_report(ms.TimeGrid(10.0, 2000))
+    rows = oracle_report()
     worst = max(err for _, _, err, _ in rows)
     bad = [(name, value, err) for name, value, err, ok in rows if not ok]
     _report(

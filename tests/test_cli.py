@@ -299,6 +299,24 @@ def test_config_error_paths(tmp_path):
     assert main(["check", "--family", "unknown", "--param", "1"]) == 2  # argparse choice
 
 
+@pytest.mark.parametrize("flag", [
+    ["--supermap", "flip"], ["--measure", "nd"], ["--pair", "plus-minus"], ["--seed", "1"],
+])
+def test_check_refuses_flags_it_does_not_read(tmp_path, capsys, flag):
+    out = tmp_path / "check.csv"
+    assert main(["check", "--family", "dcp", "--param", "3", "--out", str(out)] + flag) == 2
+    assert not out.exists()
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_reproduce_refuses_config(tmp_path, capsys):
+    cfg = tmp_path / "x.json"
+    cfg.write_text("{}")
+    assert main(["reproduce", "fig3", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert not list(tmp_path.glob("*.csv"))
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_measure_values_are_nd_and_ne_only(tmp_path):
     out = str(tmp_path / "x.csv")
     assert main(["evolve", "--family", "dcp", "--param", "3", "--measure", "none", "--out", out]) == 2
@@ -397,6 +415,19 @@ def test_reproduce_fig7_growth_summary(tmp_path):
     assert abs(row_for_one[3] - (0.2 - 1.0 / 29.0)) <= 1e-3
 
 
+def test_fig7_growth_summary_is_the_backflow_of_its_curves(tmp_path):
+    assert main(["reproduce", "fig7", "--out", str(tmp_path), "--steps", "400"]) == 0
+    grid = ms.TimeGrid(20.0, 400)
+    expected = ["alpha,nd_horizon,t_max,gain_per_period"]
+    for alpha in (8.0, 4.0, 2.0, 1.0):
+        result = ms.nd_for_scenario(ch.gad_switchable(alpha), "switch", ms.named_pair("plus-minus"), grid)
+        gain = cli._mean_rise(np.diff(result.signal.values)[200:])
+        expected.append(f"{alpha:.15g},{result.measure_value:.15g},20,{gain:.15g}")
+        curve = column(tmp_path / f"fig7_alpha={alpha:g}.csv", "trace_distance")
+        assert np.array_equal(curve, [float(f"{x:.15g}") for x in result.signal.values])
+    assert (tmp_path / "fig7_growth_summary.csv").read_text().splitlines() == expected
+
+
 def test_reproduce_fig9_zero_one_pair(tmp_path):
     code = main(["reproduce", "fig9", "--out", str(tmp_path)])
     assert code == 0
@@ -453,6 +484,22 @@ def test_csv_uses_15_significant_digits(tmp_path):
     first_data_line = out.read_text().splitlines()[5]
     fields = first_data_line.split(",")
     assert any(len(f.replace(".", "").replace("-", "").lstrip("0")) >= 14 for f in fields[1:])
+
+
+def test_csv_text_of_edge_values_and_flags(tmp_path, capsys):
+    values = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1e16, 5e-324, 0.1, 1.0 / 3.0, -2.5e-7])
+    flags = np.arange(len(values)) % 3 == 0
+    expected = (
+        "x,flag\n0,1\n-0,0\nnan,0\ninf,1\n-inf,0\n1e+16,0\n4.94065645841247e-324,1\n"
+        "0.1,0\n0.333333333333333,0\n-2.5e-07,1\n"
+    )
+    # the text of formatting every cell on its own as f"{float(cell):.15g}"
+    assert expected == "x,flag\n" + "".join(f"{x:.15g},{float(f):.15g}\n" for x, f in zip(values, flags))
+    out = tmp_path / "edge.csv"
+    cli._write_csv(str(out), ["x", "flag"], [values, flags])
+    assert out.read_bytes() == expected.encode()
+    cli._write_csv(None, ["x", "flag"], [values, flags])
+    assert capsys.readouterr().out == expected
 
 
 def test_oracles_failure_exits_5(monkeypatch, capsys):

@@ -180,7 +180,7 @@ def test_engine_matches_per_time_operations_nd():
         (ch.nonunital_eternal(0.5), "switch"),
         (ch.gad_switchable(0.9), "none"),
     ):
-        traj = ms.distance_trajectory(family, mode, pair, grid, ctrl)
+        distance = ms.pair_evolution(family, mode, pair, grid, ctrl).distance
         for idx in (0, 5, 17, 32):
             t = float(grid.points[idx])
             k = ch.kraus_from_params(ch.params_at(family, t))
@@ -194,7 +194,7 @@ def test_engine_matches_per_time_operations_nd():
                     smap = sm.switch_kraus(k, k)
                 s1 = sm.apply_postselect(smap, pair.rho1, ctrl).state
                 s2 = sm.apply_postselect(smap, pair.rho2, ctrl).state
-            assert abs(traj.values[idx] - ms.trace_distance(s1, s2)) <= 1e-12
+            assert abs(distance[idx] - ms.trace_distance(s1, s2)) <= 1e-12
 
 
 def test_engine_matches_per_time_operations_ne():
@@ -261,6 +261,12 @@ def _reference_steps(p, mode, ctrl, rhos):
     return [(step.state, step.success_prob) for step in steps]
 
 
+_PAULIS = (matcore.ID2, matcore.PAULI_X, matcore.PAULI_Y, matcore.PAULI_Z)
+# _CHOI_BASIS[a, b] = sigma_a (x) sigma_b^T / 4: the evolved maximally entangled
+# state is sum_ab T_ab _CHOI_BASIS[a, b], divided by T_00 when post-selected
+_CHOI_BASIS = np.array([[np.kron(sa, sb.T) / 4.0 for sb in _PAULIS] for sa in _PAULIS])
+
+
 @settings(max_examples=100, deadline=None)
 @given(_scenarios())
 def test_engine_matches_reference_on_random_scenarios(scenario):
@@ -277,8 +283,9 @@ def test_engine_matches_reference_on_random_scenarios(scenario):
     family = ch.custom_family(lambda t: p.lam, lambda t: p.lam_z, lambda t: p.lam_star)
     grid = ms.TimeGrid(1.0, 2)
     ev = ms.pair_evolution(family, mode, pair, grid, ctrl)
-    states, probs = ms.bell_evolution(family, mode, grid, ctrl)
-    conc, _, _ = ms.entanglement_signals(family, mode, grid, ctrl)
+    transfer, _ = ms.transfer_matrices(family, mode, grid.points, ctrl)
+    states = np.einsum("tab,abij->tij", transfer, _CHOI_BASIS) / transfer[:, :1, :1]
+    conc, _, probs = ms.entanglement_signals(family, mode, grid, ctrl)
     assert np.max(np.abs(ev.distance - ms.trace_distance(s1, s2))) <= 1e-10
     assert np.max(np.abs(states - bell_ref)) <= 1e-10
     assert np.max(np.abs(conc - ms.concurrence(bell_ref))) <= 1e-10
@@ -291,16 +298,34 @@ def test_engine_matches_reference_on_random_scenarios(scenario):
         assert np.all((0.0 < engine) & (engine <= 1.0 + 1e-12))  # round-off, as PostSelectedStep
 
 
+def test_x_state_concurrence_matches_reference():
+    # The engine's maps have T_xy = T_yx = 0, so random X states, the parity
+    # blocks (rho + ZZ rho ZZ) / 2 of random pure states, also check the
+    # signs of those entries in the closed form.
+    zz = np.kron(matcore.PAULI_Z, matcore.PAULI_Z)
+    states = []
+    for _ in range(200):
+        ket = RNG.normal(size=4) + 1j * RNG.normal(size=4)
+        rho = matcore.density(ket / np.linalg.norm(ket))
+        states.append((rho + zz @ rho @ zz) / 2.0)
+    transfer = np.einsum("sij,abji->sab", np.array(states), _CHOI_BASIS).real * 4.0
+    assert np.max(np.abs(np.einsum("sab,abij->sij", transfer, _CHOI_BASIS) - states)) <= 1e-14
+    conc = ms._concurrence_series(transfer)
+    expected = np.array([ms.concurrence(rho) for rho in states])
+    assert np.max(np.abs(conc - expected)) <= 1e-10
+    assert np.min(expected) < 0.05 and np.max(expected) > 0.9
+
+
 def test_engine_rejects_invalid_family_on_grid():
     with pytest.raises(CptpViolationError):
-        ms.distance_trajectory(
+        ms.pair_evolution(
             ch.depolarizing(0.4), "none", ms.named_pair("plus-minus"), ms.TimeGrid(1.0, 100)
         )
 
 
 def test_engine_rejects_flip_of_nonunital():
     with pytest.raises(BidirectionalityError):
-        ms.distance_trajectory(
+        ms.pair_evolution(
             ch.gad_switchable(1.0), "flip", ms.named_pair("plus-minus"), ms.TimeGrid(1.0, 10)
         )
 
@@ -318,11 +343,11 @@ def test_nd_flip_dcp_thresholds():
 
 def test_nd_flip_eternal_is_constant_at_unit_distance():
     grid = ms.TimeGrid(20.0, 2000)
-    traj = ms.distance_trajectory(
+    result = ms.nd_for_scenario(
         ch.eternal_unital(1.0), "flip", ms.named_pair("plus-minus"), grid
     )
-    assert np.max(np.abs(traj.values - 1.0)) <= 1e-11
-    assert ms.backflow_accumulate(traj).measure_value <= 1e-12
+    assert np.max(np.abs(result.signal.values - 1.0)) <= 1e-11
+    assert result.measure_value <= 1e-12
 
 
 def test_nd_switch_gad_single_period_gain():
@@ -330,10 +355,10 @@ def test_nd_switch_gad_single_period_gain():
     # back to the envelope maximum 1/5, the minimum being 1/29 at alpha = 1
     steps = 2200
     grid = ms.TimeGrid(11.0 * math.pi, steps)
-    traj = ms.distance_trajectory(
+    distance = ms.pair_evolution(
         ch.gad_switchable(1.0), "switch", ms.named_pair("plus-minus"), grid
-    )
-    window = traj.values[2000:]
+    ).distance
+    window = distance[2000:]
     diffs = np.diff(window)
     gain = diffs[diffs > 0].sum()
     assert abs(gain - (0.2 - 1.0 / 29.0)) <= 1e-4
